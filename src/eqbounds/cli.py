@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from fractions import Fraction
+from functools import cache
 
 from . import drivers
 from .linalg import min_norm_solution, rank, rational_to_text
@@ -57,7 +58,9 @@ def _add_common(sub: argparse.ArgumentParser, n_default: int, iters_default: int
     sub.add_argument("--witness-dir", default="witnesses", help="directory for counterexample files")
 
 
+@cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process; parsing never mutates it."""
     parser = _Parser(prog="eqbounds", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Sequence
 
 from .linalg import (
     QMatrix,
-    _det_bareiss_int,
+    _max_abs_maximal_minor_int,
     min_norm_solution,
     pseudoinverse,
     rational_to_text,
@@ -289,12 +289,12 @@ def run_conj3(
             scan = ExhaustiveScan()
             max_num = max_den = 1
             violations = []
-            for enc, sol in exhaustive_unique_systems(n, bounds[0], bounds[1], scan=scan):
+            for eqs, sol in exhaustive_unique_systems(n, bounds[0], bounds[1], scan=scan):
                 num, den = conj3_stats(sol)
                 max_num = max(max_num, num)
                 max_den = max(max_den, den)
                 if num > bound or den > bound:
-                    violations.append((LinSystem(n, enc.provenance), sol))
+                    violations.append((LinSystem(n, eqs), sol))
             return scan, max_num, max_den, violations
 
         chunks = _chunk_ranges(lo, hi, threads)
@@ -374,16 +374,6 @@ def _combinations_slice(m: int, k: int, lo: int, hi: int):
         yield tuple(combo)
 
 
-def _max_minor_det(rows: Sequence[Sequence[int]], n: int) -> int:
-    best = 0
-    for skip in range(n):
-        grid = [[r[c] for c in range(n) if c != skip] for r in rows]
-        d = abs(_det_bareiss_int(grid))
-        if d > best:
-            best = d
-    return best
-
-
 def run_conj2(
     n: int = DEFAULT_N,
     exhaustive: bool = True,
@@ -421,7 +411,7 @@ def run_conj2(
             violations = []
             for combo in _combinations_slice(m, n - 1, bounds[0], bounds[1]):
                 chosen = [rows[i] for i in combo]
-                value = _max_minor_det(chosen, n)
+                value = _max_abs_maximal_minor_int(list(chosen))
                 if value > best:
                     best = value
                 if value > bound:
@@ -448,7 +438,7 @@ def run_conj2(
     def worker(t: int):
         rng = SplitMix64(derive_seed(seed, t))
         chosen = [rows[rng.randint(0, m - 1)] for _ in range(n - 1)]
-        return chosen, _max_minor_det(chosen, n)
+        return chosen, _max_abs_maximal_minor_int(list(chosen))
 
     results = _map_trials(iters, threads, worker)
     best = 0

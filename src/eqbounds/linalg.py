@@ -198,6 +198,62 @@ def _det_bareiss_int(a: list[list[int]]) -> int:
     return sign * a[n - 1][n - 1]
 
 
+def _max_abs_maximal_minor_int(a: list[Sequence[int]]) -> int:
+    """Largest |det| over the minors of an r x (r+1) integer matrix that
+    delete one column.  The list `a` is reordered and its rows replaced;
+    the row objects themselves are never written to.
+
+    One fraction-free Gauss-Jordan elimination (Bareiss steps applied to
+    the rows above the pivot as well, every division exact) ends with
+    each pivot-column entry equal to the last pivot d and the one free
+    column holding f.  Up to sign, d is the minor that deletes the free
+    column and f_i the minor that deletes the i-th pivot column
+    (Cramer), so together they are the kernel vector of the matrix.  A
+    second column without a pivot means rank < r: every minor is 0.
+    """
+    rows = len(a)
+    prev = 1
+    free = rows  # the last column when every earlier column gets a pivot
+    r = 0
+    for c in range(rows + 1):
+        if r == rows:
+            break
+        for i in range(r, rows):
+            if a[i][c]:
+                break
+        else:
+            if free != rows:
+                return 0
+            free = c
+            continue
+        a[r], a[i] = a[i], a[r]
+        prow = a[r]
+        p = prow[c]
+        for i in range(rows):
+            if i != r:
+                f = a[i][c]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+                elif p != prev:
+                    a[i] = [p * x // prev for x in a[i]]
+        prev = p
+        r += 1
+    return max(abs(prev), *(abs(row[free]) for row in a))
+
+
+def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
+    """Rows scaled to integers by the lcm of their denominators, and the
+    product of those factors."""
+    scale = 1
+    grid: list[list[int]] = []
+    for row in rows:
+        row = [Fraction(x) for x in row]
+        mult = lcm(*(x.denominator for x in row))
+        scale *= mult
+        grid.append([int(x * mult) for x in row])
+    return grid, scale
+
+
 def det_bareiss(m: QMatrix) -> Fraction:
     """Exact determinant.
 
@@ -208,17 +264,29 @@ def det_bareiss(m: QMatrix) -> Fraction:
     """
     if m.rows != m.cols:
         raise NonSquareError(f"determinant of {m.shape} matrix")
-    n = m.rows
-    if n == 0:
+    if m.rows == 0:
         return Fraction(1)
-    scale = 1
-    grid: list[list[int]] = []
-    for i in range(n):
-        row = m.row(i)
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        grid.append([int(x * mult) for x in row])
+    grid, scale = _integer_rows(m.row(i) for i in range(m.rows))
     return Fraction(_det_bareiss_int(grid), scale)
+
+
+def max_abs_maximal_minor(rows: Sequence[Sequence[Scalar]]) -> Fraction:
+    """Largest |det| over the n minors of an (n-1) x n matrix that delete
+    one column, exact.
+
+    Rows with non-integer entries are cleared to integers as in
+    det_bareiss; every minor contains every row, so the result is
+    rescaled by the product of the row factors.
+    """
+    if not rows:
+        raise DimensionMismatchError("need at least one row")
+    n = len(rows[0])
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatchError("ragged rows")
+    if len(rows) != n - 1:
+        raise DimensionMismatchError(f"expected {n - 1} rows of width {n}, got {len(rows)}")
+    grid, scale = _integer_rows(rows)
+    return Fraction(_max_abs_maximal_minor_int(grid), scale)
 
 
 def inverse(a: QMatrix) -> QMatrix:

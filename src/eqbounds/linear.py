@@ -19,16 +19,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, product
-from math import comb
+from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
 
 from .linalg import (
-    DimensionMismatchError,
     QMatrix,
     QVector,
-    det_bareiss,
     is_consistent,
+    max_abs_maximal_minor,
     qvec,
     rref,
 )
@@ -187,27 +187,38 @@ def enlarge_to_unique(s: LinSystem) -> LinSystem:
 # incremental elimination used by the generators
 
 class _Echelon:
-    """Forward-elimination state over Fractions; rows are augmented with b."""
+    """Fraction-free forward elimination over the integers.
+
+    Rows are integer lists augmented with the right-hand side.  A new row
+    is reduced by cross-multiplying it against each stored pivot row and
+    then divided by the gcd of its entries.  Scaling a row by a nonzero
+    integer keeps its span and its zero pattern, so rank decisions and
+    pivot columns match elimination over Q.
+    """
 
     __slots__ = ("width", "rows")
 
     def __init__(self, width: int):
         self.width = width
-        self.rows: list[tuple[int, list[Fraction]]] = []  # (pivot col, row)
+        self.rows: list[tuple[int, Sequence[int]]] = []  # (pivot col, row)
 
-    def reduce(self, row: Sequence[Fraction]) -> tuple[int, list[Fraction]] | None:
+    def reduce(self, row: Sequence[int]) -> tuple[int, Sequence[int]] | None:
         """Reduce against current rows; None when the lhs becomes zero."""
-        work = list(row)
+        work = row
         for pc, prow in self.rows:
-            if work[pc] != 0:
-                f = work[pc] / prow[pc]
-                work = [x - f * y for x, y in zip(work, prow)]
-        pivot = next((c for c in range(self.width) if work[c] != 0), None)
+            f = work[pc]
+            if f:
+                p = prow[pc]
+                work = [p * x - f * y for x, y in zip(work, prow)]
+        pivot = next((c for c in range(self.width) if work[c]), None)
         if pivot is None:
             return None
+        g = gcd(*work)
+        if g > 1:
+            work = [x // g for x in work]
         return pivot, work
 
-    def push(self, entry: tuple[int, list[Fraction]]) -> None:
+    def push(self, entry: tuple[int, Sequence[int]]) -> None:
         self.rows.append(entry)
 
     def pop(self) -> None:
@@ -218,19 +229,25 @@ class _Echelon:
         return len(self.rows)
 
     def back_substitute(self) -> QVector:
-        """Solution when rank equals width (augmented column holds b)."""
+        """Solution when rank equals width (augmented column holds b).
+
+        Integer back-substitution keeps numerators over one common
+        denominator; Fractions are made only for the final entries.
+        """
         assert self.rank == self.width
-        x: list[Fraction] = [Fraction(0)] * self.width
-        for pc, row in sorted(self.rows, key=lambda e: -e[0]):
-            acc = row[self.width]
-            for c in range(pc + 1, self.width):
-                acc -= row[c] * x[c]
-            x[pc] = acc / row[pc]
-        return tuple(x)
-
-
-def _augmented(row: Sequence[int], rhs: int) -> list[Fraction]:
-    return [Fraction(v) for v in row] + [Fraction(rhs)]
+        w = self.width
+        num = [0] * w
+        den = 1
+        for pc, row in sorted(self.rows, reverse=True):  # pivot columns are distinct
+            acc = row[w] * den
+            for c in range(pc + 1, w):
+                acc -= row[c] * num[c]
+            p = row[pc]
+            if p != 1:
+                num = [x * p for x in num]
+                den *= p
+            num[pc] = acc
+        return tuple(Fraction(x, den) for x in num)
 
 
 # ---------------------------------------------------------------------------
@@ -246,13 +263,13 @@ def random_unique_system(n: int, rng: SplitMix64) -> LinSystem:
         raise ValueError("n must be >= 1")
     eqs: list[LinEquation] = [Unit(1)]
     ech = _Echelon(n)
-    ech.push(ech.reduce(_augmented(_row_of(Unit(1), n), 1)))
+    ech.push(ech.reduce(_row_of(Unit(1), n) + [1]))
     while ech.rank < n:
         i = rng.randint(1, n)
         j = rng.randint(1, n)
         k = rng.randint(1, n)
         eq = Add(i, j, k)
-        entry = ech.reduce(_augmented(_row_of(eq, n), 0))
+        entry = ech.reduce(_row_of(eq, n) + [0])
         if entry is not None:
             ech.push(entry)
             eqs.append(eq)
@@ -290,11 +307,14 @@ def random_card_le_n_system(n: int, rng: SplitMix64, verbatim_rhs: bool = True) 
     return EncodedSystem(QMatrix(rows, cols=n), qvec(b), tuple(provenance))
 
 
-def addition_row_pool(n: int) -> list[tuple[tuple[int, ...], Add]]:
+@cache
+def addition_row_pool(n: int) -> tuple[tuple[tuple[int, ...], Add], ...]:
     """Distinct rows e_i + e_j - e_k over [1, n]^3, minus e_1.
 
     Rows appear in first-occurrence order of the (i, j, k) triple loop;
-    each row carries the canonical equation that produced it first.
+    each row carries the canonical equation that produced it first.  The
+    pool is immutable and cached, so the exhaustive driver and every
+    enumerator it starts share one copy per n.
     """
     seen: dict[tuple[int, ...], Add] = {}
     order: list[tuple[int, ...]] = []
@@ -308,7 +328,7 @@ def addition_row_pool(n: int) -> list[tuple[tuple[int, ...], Add]]:
             seen[key] = Add(i, j, k)
             order.append(key)
     e1 = tuple(1 if c == 0 else 0 for c in range(n))
-    return [(row, seen[row]) for row in order if row != e1]
+    return tuple((row, seen[row]) for row in order if row != e1)
 
 
 DEFAULT_EXHAUSTIVE_CAP = 5
@@ -328,8 +348,12 @@ def exhaustive_unique_systems(
     end: int | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
     scan: ExhaustiveScan | None = None,
-) -> Iterator[tuple[EncodedSystem, QVector]]:
+) -> Iterator[tuple[tuple[LinEquation, ...], QVector]]:
     """All rank-n stacks of n-1 pool rows under e_1, with their solutions.
+
+    Each item is the stack's equations, x_1 = 1 first and then the pool
+    equations in index order, with the unique solution; callers that need
+    the matrix encoding build it from the equations.
 
     (n-1)-subsets of the deduplicated addition-row pool are visited in
     lexicographic order of row indices; ``start``/``end`` select a
@@ -351,30 +375,19 @@ def exhaustive_unique_systems(
     if scan is None:
         scan = ExhaustiveScan()
 
+    rows = [row + (0,) for row, _ in pool]
     ech = _Echelon(n)
-    ech.push(ech.reduce(_augmented(_row_of(Unit(1), n), 1)))
-    chosen: list[int] = []
+    ech.push(ech.reduce(_row_of(Unit(1), n) + [1]))
+    chosen: list[LinEquation] = [Unit(1)]
     pos = 0  # lex rank of the next combination to be visited
 
-    def emit() -> tuple[EncodedSystem, QVector]:
-        eqs: list[LinEquation] = [Unit(1)]
-        rows = [_row_of(Unit(1), n)]
-        b = [1]
-        for idx in chosen:
-            row, eq = pool[idx]
-            rows.append(list(row))
-            b.append(0)
-            eqs.append(eq)
-        enc = EncodedSystem(QMatrix(rows, cols=n), qvec(b), tuple(eqs))
-        return enc, ech.back_substitute()
-
-    def walk(first: int, slots_left: int) -> Iterator[tuple[EncodedSystem, QVector]]:
+    def walk(first: int, slots_left: int) -> Iterator[tuple[tuple[LinEquation, ...], QVector]]:
         nonlocal pos
         if slots_left == 0:
             if lo <= pos < hi:
                 scan.subsets_considered += 1
                 scan.yielded += 1
-                yield emit()
+                yield tuple(chosen), ech.back_substitute()
             pos += 1
             return
         for idx in range(first, p - slots_left + 1):
@@ -382,7 +395,7 @@ def exhaustive_unique_systems(
             if pos + subtree <= lo or pos >= hi:
                 pos += subtree
                 continue
-            entry = ech.reduce(_augmented(pool[idx][0], 0))
+            entry = ech.reduce(rows[idx])
             if entry is None:
                 overlap = min(pos + subtree, hi) - max(pos, lo)
                 if overlap > 0:
@@ -390,7 +403,7 @@ def exhaustive_unique_systems(
                 pos += subtree
                 continue
             ech.push(entry)
-            chosen.append(idx)
+            chosen.append(pool[idx][1])
             yield from walk(idx + 1, slots_left - 1)
             chosen.pop()
             ech.pop()
@@ -491,18 +504,8 @@ def conj2_check(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Fraction, boo
     Expects n-1 rows of width n; verdict passes iff the maximum is
     <= 2^(n-1) (exact).
     """
-    if not rows:
-        raise DimensionMismatchError("need at least one row")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("ragged rows")
-    if len(rows) != n - 1:
-        raise DimensionMismatchError(f"expected {n - 1} rows of width {n}, got {len(rows)}")
-    best = Fraction(0)
-    for skip in range(n):
-        minor = QMatrix([[r[c] for c in range(n) if c != skip] for r in rows], cols=n - 1)
-        best = max(best, abs(det_bareiss(minor)))
-    return best, best <= Fraction(2) ** (n - 1)
+    best = max_abs_maximal_minor(rows)
+    return best, best <= Fraction(2) ** len(rows)
 
 
 HAT_CONSTANTS = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2))

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -8,9 +9,12 @@ from eqbounds.linalg import (
     QMatrix,
     SingularMatrixError,
     ZeroMatrixError,
+    _det_bareiss_int,
+    _max_abs_maximal_minor_int,
     det_bareiss,
     inverse,
     is_consistent,
+    max_abs_maximal_minor,
     min_norm_solution,
     norm_sq,
     pseudoinverse,
@@ -24,6 +28,7 @@ from eqbounds.linalg import (
     solve_unique,
     transpose,
 )
+from eqbounds.linear import conj2_rows
 from eqbounds.rng import SplitMix64
 
 F = Fraction
@@ -101,6 +106,47 @@ def test_det_matches_cofactor_oracle():
     for _ in range(1000):
         rows = random_small_matrix(rng)
         assert det_bareiss(QMatrix(rows)) == det_cofactor(rows)
+
+
+def max_minor_by_determinants(rows):
+    """Reference: one Bareiss determinant per deleted column."""
+    n = len(rows[0])
+    return max(
+        abs(_det_bareiss_int([[r[c] for c in range(n) if c != skip] for r in rows]))
+        for skip in range(n)
+    )
+
+
+def test_maximal_minor_kernel_matches_determinants_on_conj2_stacks():
+    for n in (3, 4):
+        for combo in combinations(conj2_rows(n), n - 1):
+            assert _max_abs_maximal_minor_int(list(combo)) == max_minor_by_determinants(combo)
+    # n = 5: a seeded sample drawn with replacement, so repeated rows and
+    # other rank-deficient stacks occur alongside full-rank ones
+    rows = conj2_rows(5)
+    rng = SplitMix64(20261018)
+    deficient = 0
+    for _ in range(3000):
+        stack = [rows[rng.randint(0, len(rows) - 1)] for _ in range(4)]
+        expected = max_minor_by_determinants(stack)
+        deficient += expected == 0
+        assert _max_abs_maximal_minor_int(list(stack)) == expected
+    assert deficient > 0
+
+
+def test_maximal_minor_kernel_rational_rows():
+    rng = SplitMix64(7)
+    for _ in range(300):
+        width = rng.randint(2, 5)
+        rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width)]
+                for _ in range(width - 1)]
+        expected = max(
+            abs(det_cofactor([[r[c] for c in range(width) if c != skip] for r in rows]))
+            for skip in range(width)
+        )
+        assert max_abs_maximal_minor(rows) == expected
+    with pytest.raises(DimensionMismatchError):
+        max_abs_maximal_minor([[1, 0], [0, 1]])
 
 
 def doubling_chain_matrix(n):

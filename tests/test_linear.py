@@ -4,7 +4,7 @@ from math import comb
 
 import pytest
 
-from eqbounds.linalg import QMatrix, is_consistent, min_norm_solution, qvec, rank
+from eqbounds.linalg import QMatrix, is_consistent, min_norm_solution, qvec, rank, solve_unique
 from eqbounds.linear import (
     Add,
     BoundVerdict,
@@ -156,6 +156,19 @@ def test_random_unique_system():
     assert a == b
 
 
+def test_random_unique_system_keeps_exactly_rank_raising_rows():
+    # replay the same draws with a rational rank oracle
+    for n in (2, 3, 4, 5):
+        for seed in range(25):
+            rng = SplitMix64(seed)
+            kept = [Unit(1)]
+            while rank(encode(LinSystem(n, kept)).a) < n:
+                eq = Add(rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
+                if rank(encode(LinSystem(n, kept + [eq])).a) > len(kept):
+                    kept.append(eq)
+            assert random_unique_system(n, SplitMix64(seed)).equations == tuple(kept)
+
+
 def test_random_card_le_n_system_rhs_rule():
     # draws are consumed three at a time (i, j, k); with k == j the verbatim
     # rule sets the right-hand side to 1 and the row reads x_i = 1
@@ -203,8 +216,16 @@ def test_exhaustive_n2_full_enumeration_oracle():
 
 
 def test_exhaustive_yields_satisfy_system():
-    for enc, sol in exhaustive_unique_systems(3):
+    for eqs, sol in exhaustive_unique_systems(3):
+        enc = encode(LinSystem(3, eqs))
         assert enc.a @ sol == enc.b
+
+
+def test_exhaustive_solutions_match_rational_solver():
+    for n in (3, 4):
+        for eqs, sol in exhaustive_unique_systems(n):
+            enc = encode(LinSystem(n, eqs))
+            assert sol == solve_unique(enc.a, enc.b)
 
 
 def test_exhaustive_matches_bruteforce_on_n3():
