@@ -1,5 +1,7 @@
 """Batch drivers: one per experiment, each returning a Report.
 
+Every driver runs seed -> trial -> check -> witness -> report; `_Run`,
+`_seeded`, `_chunked`, `_unique_trial` and `_saturated` hold those steps.
 Every randomized driver derives an independent child seed per trial, so
 results do not depend on scheduling; thread pools only spread the work.
 Witness files are content-addressed (sha1 of the body), which keeps
@@ -14,7 +16,7 @@ from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from math import comb
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .linalg import (
     QMatrix,
@@ -27,10 +29,8 @@ from .linalg import (
     transpose,
 )
 from .linear import (
-    Add,
     ExhaustiveScan,
     LinSystem,
-    Unit,
     addition_row_pool,
     check_bound_pow2,
     check_bound_sqrt5,
@@ -38,6 +38,7 @@ from .linear import (
     conj3_stats,
     conj4_check,
     encode,
+    equation_pool,
     exhaustive_unique_systems,
     observation1_hat_search,
     random_card_le_n_system,
@@ -45,6 +46,7 @@ from .linear import (
 )
 from .poly import Classification
 from .polysys import (
+    TrialOutcome,
     check_bound_double_exp,
     double_exp_bound,
     full_pool,
@@ -80,6 +82,53 @@ class WitnessSink:
             self.paths.append(rel)
 
 
+class _Run:
+    """One driver run: start time, config, witnesses, tallies and `extra`."""
+
+    def __init__(self, command: str, config: dict, witness_dir: Path | str):
+        self.started = time.time()
+        self.command = command
+        self.config = config
+        self.sink = WitnessSink(witness_dir)
+        self.tallies: dict[str, int] = {}
+        self.extra: dict = {}
+        self.violations = 0  # witness bodies written, duplicates included
+
+    def witness(self, body: str) -> None:
+        self.violations += 1
+        self.sink.add(self.command, body)
+
+    def tally(self, tags: Iterable[str]) -> None:
+        for tag in tags:
+            self.tallies[tag] = self.tallies.get(tag, 0) + 1
+
+    def collect(self, results: Iterable[tuple[object, Iterable[str]]]) -> list:
+        """Statistics of (statistic, witness bodies) results; the bodies are written."""
+        stats = []
+        for stat, bodies in results:
+            for body in bodies:
+                self.witness(body)
+            stats.append(stat)
+        return stats
+
+    def report(self, trials: int, stat_name: str, stat_value: str, bound: str) -> Report:
+        witnesses = tuple(self.sink.paths)
+        return Report(
+            command=self.command,
+            config=self.config,
+            trials_attempted=trials,
+            trials_completed=trials,
+            statistic_name=stat_name,
+            statistic_value=stat_value,
+            bound=bound,
+            verdict=decide_verdict(witnesses, self.tallies),
+            witnesses=witnesses,
+            error_tallies=self.tallies,
+            extra=self.extra,
+            wall_clock_seconds=time.time() - self.started,
+        )
+
+
 def _map_trials(iters: int, threads: int, worker: Callable[[int], object]) -> list:
     if threads <= 1:
         return [worker(t) for t in range(iters)]
@@ -87,49 +136,68 @@ def _map_trials(iters: int, threads: int, worker: Callable[[int], object]) -> li
         return list(pool.map(worker, range(iters)))
 
 
-def _chunk_ranges(lo: int, hi: int, parts: int) -> list[tuple[int, int]]:
+def _seeded(iters: int, seed: int, threads: int, trial: Callable) -> list:
+    """trial(t, rng) for every trial t, each on its own derived stream."""
+    return _map_trials(iters, threads, lambda t: trial(t, SplitMix64(derive_seed(seed, t))))
+
+
+def _chunked(lo: int, hi: int, threads: int, scan: Callable[[int, int], object]) -> list:
+    """scan(a, b) over consecutive chunks [a, b) of [lo, hi), one per thread."""
     size = hi - lo
     if size <= 0:
         return []
-    parts = max(1, min(parts, size))
-    step = size // parts
-    bounds = [lo + i * step for i in range(parts)] + [hi]
-    return [(bounds[i], bounds[i + 1]) for i in range(parts)]
+    parts = max(1, min(threads, size))
+    bounds = [lo + i * (size // parts) for i in range(parts)] + [hi]
+    chunks = list(zip(bounds, bounds[1:]))
+    return _map_trials(len(chunks), threads, lambda i: scan(*chunks[i]))
 
 
-def _tally(into: dict[str, int], tags: Iterable[str]) -> None:
-    for tag in tags:
-        into[tag] = into.get(tag, 0) + 1
+def _exhaustive_run(command: str, n: int, seed: int, comb_range: tuple[int, int] | None,
+                    total: int, witness_dir: Path | str) -> tuple[_Run, int, int]:
+    """The run of a rank-range scan, with the range clamped to [0, total)."""
+    lo, hi = comb_range if comb_range is not None else (0, total)
+    lo, hi = max(0, lo), min(total, hi)
+    config = {"n": n, "mode": "exhaustive", "range": [lo, hi], "seed": seed}
+    return _Run(command, config, witness_dir), lo, hi
 
 
-def _finish(
-    command: str,
-    config: dict,
-    attempted: int,
-    completed: int,
-    stat_name: str,
-    stat_value: str,
-    bound: str,
-    sink: WitnessSink,
-    tallies: dict[str, int],
-    extra: dict,
-    started: float,
-) -> Report:
-    witnesses = tuple(sink.paths)
-    return Report(
-        command=command,
-        config=config,
-        trials_attempted=attempted,
-        trials_completed=completed,
-        statistic_name=stat_name,
-        statistic_value=stat_value,
-        bound=bound,
-        verdict=decide_verdict(witnesses, tallies),
-        witnesses=witnesses,
-        error_tallies=tallies,
-        extra=extra,
-        wall_clock_seconds=time.time() - started,
-    )
+def _unique_trial(n: int, rng: SplitMix64):
+    """A random unique-solution system with its exact solution."""
+    s = random_unique_system(n, rng)
+    enc = encode(s)
+    return s, solve_unique(enc.a, enc.b)
+
+
+def _saturated(run: _Run, n: int, pool_variant: str, iters: int, seed: int, threads: int,
+               maximal_witness: bool = False) -> Iterator[tuple[int, TrialOutcome]]:
+    """Greedy saturation trials; yields (t, outcome) for zero-dimensional ones.
+
+    Solver errors are tallied.  A trial that exhausts the pool while still
+    positive-dimensional is tallied; with `maximal_witness` its system is
+    re-checked and, when maximal, written as a witness.
+    """
+    pool = full_pool(n, pool_variant)
+    outcomes = _seeded(iters, seed, threads, lambda t, rng: greedy_saturate(pool, rng))
+    for t, outcome in enumerate(outcomes):
+        run.tally(outcome.errors)
+        if outcome.classification is Classification.ZERO_DIMENSIONAL:
+            yield t, outcome
+            continue
+        run.tally(["pool_exhausted_positive_dimensional"])
+        if not maximal_witness:
+            continue
+        if is_maximal_consistent(outcome.system)[0]:
+            run.witness(
+                poly_witness_text(
+                    outcome.system, (), f"maximal positive-dimensional system, trial {t}"
+                )
+            )
+        else:
+            run.tally(["positive_dimensional_not_maximal"])
+
+
+def _random_config(n: int, iters: int, seed: int) -> dict:
+    return {"n": n, "mode": "random", "iters": iters, "seed": seed}
 
 
 # ---------------------------------------------------------------------------
@@ -147,40 +215,27 @@ def run_conjI(
     The proven root-5 bound is asserted as a hard correctness gate: a
     violation there is a solver bug and aborts the run.
     """
-    started = time.time()
-    config = {"n": n, "mode": "random", "iters": iters, "seed": seed}
-    bound = Fraction(2) ** (n - 1)
+    run = _Run("conjI", _random_config(n, iters, seed), witness_dir)
 
-    def worker(t: int):
-        rng = SplitMix64(derive_seed(seed, t))
-        s = random_unique_system(n, rng)
-        enc = encode(s)
-        x = solve_unique(enc.a, enc.b)
+    def trial(t: int, rng: SplitMix64):
+        s, x = _unique_trial(n, rng)
         if not check_bound_sqrt5(x, n).passed:
             raise AssertionError(
                 f"proven root-5 bound violated at trial {t}: solver bug"
             )
         stat = max(abs(v) for v in x)
-        verdict = check_bound_pow2(x, n)
-        return stat, s, x, verdict
+        if check_bound_pow2(x, n).passed:
+            return stat, ()
+        return stat, (lin_witness_text(s, x, f"bound violation at trial {t}"),)
 
-    results = _map_trials(iters, threads, worker)
-    sink = WitnessSink(witness_dir)
-    max_stat = Fraction(1)
-    for t, (stat, s, x, verdict) in enumerate(results):
-        max_stat = max(max_stat, stat)
-        if not verdict.passed:
-            sink.add("conjI", lin_witness_text(s, x, f"bound violation at trial {t}"))
-    return _finish(
-        "conjI", config, iters, iters,
-        "max_abs_coordinate", rational_to_text(max_stat), rational_to_text(bound),
-        sink, {}, {}, started,
-    )
+    best = max([Fraction(1), *run.collect(_seeded(iters, seed, threads, trial))])
+    return run.report(iters, "max_abs_coordinate", rational_to_text(best),
+                      rational_to_text(Fraction(2) ** (n - 1)))
 
 
 def _penrose_ok(a: QMatrix, x: QMatrix) -> bool:
     ax, xa = a @ x, x @ a
-    return (a @ x) @ a == a and (x @ a) @ x == x and transpose(ax) == ax and transpose(xa) == xa
+    return ax @ a == a and xa @ x == x and transpose(ax) == ax and transpose(xa) == xa
 
 
 def run_conj1(
@@ -194,37 +249,24 @@ def run_conj1(
     """Random card-<=-n systems; minimal-norm least-squares solutions must
     stay within 2^(n-1).  Each pseudoinverse is verified against the four
     defining identities exactly (a failure is a solver bug)."""
-    started = time.time()
-    config = {
-        "n": n, "mode": "random", "iters": iters, "seed": seed,
-        "strict_semantics": strict_semantics,
-    }
-    bound = Fraction(2) ** (n - 1)
+    config = {**_random_config(n, iters, seed), "strict_semantics": strict_semantics}
+    run = _Run("conj1", config, witness_dir)
 
-    def worker(t: int):
-        rng = SplitMix64(derive_seed(seed, t))
+    def trial(t: int, rng: SplitMix64):
         enc = random_card_le_n_system(n, rng, verbatim_rhs=not strict_semantics)
         pinv = pseudoinverse(enc.a)
         if not _penrose_ok(enc.a, pinv):
             raise AssertionError(f"pseudoinverse identities failed at trial {t}")
         x0 = pinv @ enc.b
         stat = max(abs(v) for v in x0)
-        verdict = check_bound_pow2(x0, n)
-        return stat, enc, x0, verdict
+        if check_bound_pow2(x0, n).passed:
+            return stat, ()
+        s = LinSystem(n, enc.provenance)
+        return stat, (lin_witness_text(s, x0, f"bound violation at trial {t}"),)
 
-    results = _map_trials(iters, threads, worker)
-    sink = WitnessSink(witness_dir)
-    max_stat = Fraction(1)
-    for t, (stat, enc, x0, verdict) in enumerate(results):
-        max_stat = max(max_stat, stat)
-        if not verdict.passed:
-            s = LinSystem(n, enc.provenance)
-            sink.add("conj1", lin_witness_text(s, x0, f"bound violation at trial {t}"))
-    return _finish(
-        "conj1", config, iters, iters,
-        "max_abs_coordinate", rational_to_text(max_stat), rational_to_text(bound),
-        sink, {}, {}, started,
-    )
+    best = max([Fraction(1), *run.collect(_seeded(iters, seed, threads, trial))])
+    return run.report(iters, "max_abs_coordinate", rational_to_text(best),
+                      rational_to_text(Fraction(2) ** (n - 1)))
 
 
 def run_conj4(
@@ -235,29 +277,17 @@ def run_conj4(
     witness_dir: Path | str = "witnesses",
 ) -> Report:
     """Random unique-solution systems; clamped consecutive ratios must be <= 2."""
-    started = time.time()
-    config = {"n": n, "mode": "random", "iters": iters, "seed": seed}
+    run = _Run("conj4", _random_config(n, iters, seed), witness_dir)
 
-    def worker(t: int):
-        rng = SplitMix64(derive_seed(seed, t))
-        s = random_unique_system(n, rng)
-        enc = encode(s)
-        x = solve_unique(enc.a, enc.b)
+    def trial(t: int, rng: SplitMix64):
+        s, x = _unique_trial(n, rng)
         ratio, ok = conj4_check(x)
-        return ratio, ok, s, x
+        if ok:
+            return ratio, ()
+        return ratio, (lin_witness_text(s, x, f"ratio violation at trial {t}"),)
 
-    results = _map_trials(iters, threads, worker)
-    sink = WitnessSink(witness_dir)
-    max_ratio = Fraction(1)
-    for t, (ratio, ok, s, x) in enumerate(results):
-        max_ratio = max(max_ratio, ratio)
-        if not ok:
-            sink.add("conj4", lin_witness_text(s, x, f"ratio violation at trial {t}"))
-    return _finish(
-        "conj4", config, iters, iters,
-        "max_clamped_ratio", rational_to_text(max_ratio), "2",
-        sink, {}, {}, started,
-    )
+    best = max([Fraction(1), *run.collect(_seeded(iters, seed, threads, trial))])
+    return run.report(iters, "max_clamped_ratio", rational_to_text(best), "2")
 
 
 # ---------------------------------------------------------------------------
@@ -273,96 +303,64 @@ def run_conj3(
     witness_dir: Path | str = "witnesses",
 ) -> Report:
     """Numerators and denominators of unique solutions must stay within 2^(n-1)."""
-    started = time.time()
     bound = 2 ** (n - 1)
-    sink = WitnessSink(witness_dir)
-    tallies: dict[str, int] = {}
-
     if exhaustive:
-        pool_size = len(addition_row_pool(n))
-        total = comb(pool_size, n - 1)
-        lo, hi = comb_range if comb_range is not None else (0, total)
-        lo, hi = max(0, lo), min(total, hi)
-        config = {"n": n, "mode": "exhaustive", "range": [lo, hi], "seed": seed}
+        total = comb(len(addition_row_pool(n)), n - 1)
+        run, lo, hi = _exhaustive_run("conj3", n, seed, comb_range, total, witness_dir)
 
-        def chunk_worker(bounds: tuple[int, int]):
-            scan = ExhaustiveScan()
+        def scan(a: int, b: int):
+            counts = ExhaustiveScan()
             max_num = max_den = 1
-            violations = []
-            for eqs, sol in exhaustive_unique_systems(n, bounds[0], bounds[1], scan=scan):
+            bodies = []
+            for eqs, sol in exhaustive_unique_systems(n, a, b, scan=counts):
                 num, den = conj3_stats(sol)
                 max_num = max(max_num, num)
                 max_den = max(max_den, den)
-                if num > bound or den > bound:
-                    violations.append((LinSystem(n, eqs), sol))
-            return scan, max_num, max_den, violations
+                if num > bound or den > bound:  # a LinSystem only for a violation
+                    bodies.append(
+                        lin_witness_text(LinSystem(n, eqs), sol, "numerator/denominator violation")
+                    )
+            return (max_num, max_den, counts), bodies
 
-        chunks = _chunk_ranges(lo, hi, threads)
-        outputs = _map_trials(len(chunks), threads, lambda i: chunk_worker(chunks[i]))
-        considered = sum(o[0].subsets_considered for o in outputs)
-        yielded = sum(o[0].yielded for o in outputs)
-        max_num = max((o[1] for o in outputs), default=1)
-        max_den = max((o[2] for o in outputs), default=1)
-        for o in outputs:
-            for s, sol in o[3]:
-                sink.add("conj3", lin_witness_text(s, sol, "numerator/denominator violation"))
-        extra = {
-            "subsets_considered": considered,
-            "rank_n_systems": yielded,
-            "max_abs_numerator": max_num,
-            "max_denominator": max_den,
-        }
-        return _finish(
-            "conj3", config, considered, considered,
-            "max_numerator_or_denominator", str(max(max_num, max_den)), str(bound),
-            sink, tallies, extra, started,
-        )
+        stats = run.collect(_chunked(lo, hi, threads, scan))
+        trials = sum(c.subsets_considered for _, _, c in stats)
+        run.extra.update(subsets_considered=trials,
+                         rank_n_systems=sum(c.yielded for _, _, c in stats))
+    else:
+        run = _Run("conj3", _random_config(n, iters, seed), witness_dir)
 
-    config = {"n": n, "mode": "random", "iters": iters, "seed": seed}
+        def trial(t: int, rng: SplitMix64):
+            s, x = _unique_trial(n, rng)
+            num, den = conj3_stats(x)
+            if num <= bound and den <= bound:
+                return (num, den), ()
+            return (num, den), (lin_witness_text(s, x, f"violation at trial {t}"),)
 
-    def worker(t: int):
-        rng = SplitMix64(derive_seed(seed, t))
-        s = random_unique_system(n, rng)
-        enc = encode(s)
-        x = solve_unique(enc.a, enc.b)
-        return s, x, conj3_stats(x)
-
-    results = _map_trials(iters, threads, worker)
-    max_num = max_den = 1
-    for t, (s, x, (num, den)) in enumerate(results):
-        max_num = max(max_num, num)
-        max_den = max(max_den, den)
-        if num > bound or den > bound:
-            sink.add("conj3", lin_witness_text(s, x, f"violation at trial {t}"))
-    extra = {"max_abs_numerator": max_num, "max_denominator": max_den}
-    return _finish(
-        "conj3", config, iters, iters,
-        "max_numerator_or_denominator", str(max(max_num, max_den)), str(bound),
-        sink, tallies, extra, started,
-    )
+        stats = run.collect(_seeded(iters, seed, threads, trial))
+        trials = iters
+    max_num = max([1, *(s[0] for s in stats)])
+    max_den = max([1, *(s[1] for s in stats)])
+    run.extra.update(max_abs_numerator=max_num, max_denominator=max_den)
+    return run.report(trials, "max_numerator_or_denominator", str(max(max_num, max_den)),
+                      str(bound))
 
 
 # ---------------------------------------------------------------------------
 # conjecture 2 (row-pattern minors)
 
-def _unrank_combination(m: int, k: int, rank_index: int) -> list[int]:
+def _combinations_slice(m: int, k: int, lo: int, hi: int):
+    """Lexicographic k-combinations of range(m) with ranks in [lo, hi)."""
+    if lo >= hi:
+        return
     combo = []
-    c = 0
-    r = rank_index
+    c = 0  # unrank lo, then step in lexicographic order
+    r = lo
     for slot in range(k, 0, -1):
         while comb(m - c - 1, slot - 1) <= r:
             r -= comb(m - c - 1, slot - 1)
             c += 1
         combo.append(c)
         c += 1
-    return combo
-
-
-def _combinations_slice(m: int, k: int, lo: int, hi: int):
-    """Lexicographic k-combinations of range(m) with ranks in [lo, hi)."""
-    if lo >= hi:
-        return
-    combo = _unrank_combination(m, k, lo)
     yield tuple(combo)
     for _ in range(hi - lo - 1):
         i = k - 1
@@ -389,68 +387,49 @@ def run_conj2(
     (repeated rows force zero minors); randomized mode samples each of
     the n-1 rows independently and uniformly.
     """
-    started = time.time()
     bound = 2 ** (n - 1)
     rows = conj2_rows(n)
     m = len(rows)
-    sink = WitnessSink(witness_dir)
 
     def matrix_witness(chosen: Sequence[Sequence[int]], value: int) -> str:
         body = "\n".join(" ".join(str(v) for v in r) for r in chosen)
         return f"# max |minor det| = {value} exceeds {bound}\n{body}\n"
 
     if exhaustive:
-        total = comb(m, n - 1)
-        lo, hi = comb_range if comb_range is not None else (0, total)
-        lo, hi = max(0, lo), min(total, hi)
-        config = {"n": n, "mode": "exhaustive", "range": [lo, hi], "seed": seed}
+        run, lo, hi = _exhaustive_run("conj2", n, seed, comb_range, comb(m, n - 1), witness_dir)
 
-        def chunk_worker(bounds: tuple[int, int]):
+        def scan(a: int, b: int):
             best = 0
             count = 0
-            violations = []
-            for combo in _combinations_slice(m, n - 1, bounds[0], bounds[1]):
+            bodies = []
+            for combo in _combinations_slice(m, n - 1, a, b):
                 chosen = [rows[i] for i in combo]
                 value = _max_abs_maximal_minor_int(list(chosen))
                 if value > best:
                     best = value
                 if value > bound:
-                    violations.append((chosen, value))
+                    bodies.append(matrix_witness(chosen, value))
                 count += 1
-            return best, count, violations
+            return (best, count), bodies
 
-        chunks = _chunk_ranges(lo, hi, threads)
-        outputs = _map_trials(len(chunks), threads, lambda i: chunk_worker(chunks[i]))
-        best = max((o[0] for o in outputs), default=0)
-        count = sum(o[1] for o in outputs)
-        for o in outputs:
-            for chosen, value in o[2]:
-                sink.add("conj2", matrix_witness(chosen, value))
-        extra = {"combinations": count}
-        return _finish(
-            "conj2", config, count, count,
-            "max_abs_minor_det", str(best), str(bound),
-            sink, {}, extra, started,
-        )
+        stats = run.collect(_chunked(lo, hi, threads, scan))
+        trials = sum(count for _, count in stats)
+        run.extra["combinations"] = trials
+        values = [best for best, _ in stats]
+    else:
+        run = _Run("conj2", _random_config(n, iters, seed), witness_dir)
 
-    config = {"n": n, "mode": "random", "iters": iters, "seed": seed}
+        def trial(t: int, rng: SplitMix64):
+            chosen = [rows[rng.randint(0, m - 1)] for _ in range(n - 1)]
+            value = _max_abs_maximal_minor_int(list(chosen))
+            if value <= bound:
+                return value, ()
+            return value, (matrix_witness(chosen, value),)
 
-    def worker(t: int):
-        rng = SplitMix64(derive_seed(seed, t))
-        chosen = [rows[rng.randint(0, m - 1)] for _ in range(n - 1)]
-        return chosen, _max_abs_maximal_minor_int(list(chosen))
-
-    results = _map_trials(iters, threads, worker)
-    best = 0
-    for chosen, value in results:
-        best = max(best, value)
-        if value > bound:
-            sink.add("conj2", matrix_witness(chosen, value))
-    return _finish(
-        "conj2", config, iters, iters,
-        "max_abs_minor_det", str(best), str(bound),
-        sink, {}, {}, started,
-    )
+        values = run.collect(_seeded(iters, seed, threads, trial))
+        trials = iters
+    best = max([0, *values])
+    return run.report(trials, "max_abs_minor_det", str(best), str(bound))
 
 
 # ---------------------------------------------------------------------------
@@ -483,62 +462,33 @@ def run_conj5(
     """
     if variant not in _VARIANT_POOL:
         raise ValueError(f"unknown variant {variant!r}")
-    started = time.time()
-    config = {"n": n, "mode": "random", "iters": iters, "seed": seed, "variant": variant}
-    pool = full_pool(n, _VARIANT_POOL[variant])
+    run = _Run("conj5", {**_random_config(n, iters, seed), "variant": variant}, witness_dir)
     exponent = _VARIANT_EXPONENT[variant]
     bound = double_exp_bound(n, exponent)
-
-    def worker(t: int):
-        rng = SplitMix64(derive_seed(seed, t))
-        return greedy_saturate(pool, rng)
-
-    outcomes = _map_trials(iters, threads, worker)
-    sink = WitnessSink(witness_dir)
-    tallies: dict[str, int] = {}
     max_abs = 0.0 if variant == "d" else 1.0
     zero_dim = 0
     maximal_count = 0
-    checked_for_bound = 0
-    for t, outcome in enumerate(outcomes):
-        _tally(tallies, outcome.errors)
-        if outcome.classification is Classification.POSITIVE_DIMENSIONAL:
-            _tally(tallies, ["pool_exhausted_positive_dimensional"])
-            maximal, _ = is_maximal_consistent(outcome.system)
-            if maximal:
-                sink.add(
-                    "conj5",
-                    poly_witness_text(
-                        outcome.system, (), f"maximal positive-dimensional system, trial {t}"
-                    ),
-                )
-            else:
-                _tally(tallies, ["positive_dimensional_not_maximal"])
-            continue
+    checked = 0
+    for t, outcome in _saturated(run, n, _VARIANT_POOL[variant], iters, seed, threads,
+                                 maximal_witness=True):
         zero_dim += 1
         max_abs = max(max_abs, outcome.max_abs_coordinate)
         if variant == "a":
-            maximal, _ = is_maximal_consistent(outcome.system)
-            if not maximal:
+            if not is_maximal_consistent(outcome.system)[0]:
                 continue
             maximal_count += 1
-        checked_for_bound += 1
+        checked += 1
         if not check_bound_double_exp(outcome, n, exponent):
-            sink.add(
-                "conj5",
+            run.witness(
                 poly_witness_text(
                     outcome.system, outcome.solutions, f"bound violation at trial {t}"
-                ),
+                )
             )
-    extra = {"zero_dimensional_trials": zero_dim, "bound_checked_trials": checked_for_bound}
+    run.extra.update(zero_dimensional_trials=zero_dim, bound_checked_trials=checked)
     if variant == "a":
-        extra["maximal_trials"] = maximal_count
-        extra["maximality_rate"] = f"{maximal_count}/{zero_dim}" if zero_dim else "0/0"
-    return _finish(
-        "conj5", config, iters, iters,
-        "max_abs_coordinate", repr(max_abs), repr(bound),
-        sink, tallies, extra, started,
-    )
+        run.extra["maximal_trials"] = maximal_count
+        run.extra["maximality_rate"] = f"{maximal_count}/{zero_dim}" if zero_dim else "0/0"
+    return run.report(iters, "max_abs_coordinate", repr(max_abs), repr(bound))
 
 
 def run_conjII(
@@ -550,25 +500,11 @@ def run_conjII(
 ) -> Report:
     """Minimal-Euclidean-norm solutions of saturated systems must stay
     within 2^(2^(n-2)); the same check runs on the real-filtered subset."""
-    started = time.time()
-    config = {"n": n, "mode": "random", "iters": iters, "seed": seed}
-    pool = full_pool(n, "full_En")
+    run = _Run("conjII", _random_config(n, iters, seed), witness_dir)
     bound = double_exp_bound(n, "n_minus_2")
-
-    def worker(t: int):
-        rng = SplitMix64(derive_seed(seed, t))
-        return greedy_saturate(pool, rng)
-
-    outcomes = _map_trials(iters, threads, worker)
-    sink = WitnessSink(witness_dir)
-    tallies: dict[str, int] = {}
     max_stat = 1.0
     zero_dim = 0
-    for t, outcome in enumerate(outcomes):
-        _tally(tallies, outcome.errors)
-        if outcome.classification is not Classification.ZERO_DIMENSIONAL:
-            _tally(tallies, ["pool_exhausted_positive_dimensional"])
-            continue
+    for t, outcome in _saturated(run, n, "full_En", iters, seed, threads):
         zero_dim += 1
         picked = [outcome.solutions[i] for i in outcome.min_norm_indices]
         reals = real_solutions(outcome.solutions)
@@ -577,45 +513,17 @@ def run_conjII(
             modulus = max((abs(z) for z in sol.entries), default=0.0)
             max_stat = max(max_stat, modulus)
             if modulus > bound + 1e-6:
-                sink.add(
-                    "conjII",
+                run.witness(
                     poly_witness_text(
                         outcome.system, (sol,), f"minimal-norm bound violation, trial {t}"
-                    ),
+                    )
                 )
-    extra = {"zero_dimensional_trials": zero_dim}
-    return _finish(
-        "conjII", config, iters, iters,
-        "max_min_norm_modulus", repr(max_stat), repr(bound),
-        sink, tallies, extra, started,
-    )
+    run.extra["zero_dimensional_trials"] = zero_dim
+    return run.report(iters, "max_min_norm_modulus", repr(max_stat), repr(bound))
 
 
 # ---------------------------------------------------------------------------
 # hat-replacement observation drivers
-
-def _wn_equation_pool(n: int) -> list[Unit | Add]:
-    """Equations of the linear universe deduplicated by their encoding."""
-    seen: set[tuple[tuple[int, ...], int]] = set()
-    pool: list[Unit | Add] = []
-    for i in range(1, n + 1):
-        eq = Unit(i)
-        enc = encode(LinSystem(n, [eq]))
-        key = (tuple(enc.a.row(0)), 1)
-        if key not in seen:
-            seen.add(key)
-            pool.append(eq)
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(1, n + 1):
-                eq = Add(i, j, k)
-                enc = encode(LinSystem(n, [eq]))
-                key = (tuple(enc.a.row(0)), 0)
-                if key not in seen:
-                    seen.add(key)
-                    pool.append(eq)
-    return pool
-
 
 def run_obs1(
     n: int = 3,
@@ -631,22 +539,19 @@ def run_obs1(
     equation pool (n <= 3); each consistent subset is solved by its
     minimal-norm solution and handed to the grid search.
     """
-    started = time.time()
-    sink = WitnessSink(witness_dir)
-    misses = 0
     if exhaustive:
         if n > 3:
             raise ValueError("exhaustive hat verification supports n <= 3")
-        pool = _wn_equation_pool(n)
-        total = 1 << len(pool)
-        config = {"n": n, "mode": "exhaustive", "subsets": total, "seed": seed}
+        pool = equation_pool(n)
+        trials = 1 << len(pool)
+        run = _Run("obs1", {"n": n, "mode": "exhaustive", "subsets": trials, "seed": seed},
+                   witness_dir)
 
-        def chunk_worker(bounds: tuple[int, int]):
-            found_misses = []
+        def scan(a: int, b: int):
             consistent = 0
-            for mask in range(bounds[0], bounds[1]):
-                eqs = [pool[i] for i in range(len(pool)) if mask >> i & 1]
-                s = LinSystem(n, eqs)
+            bodies = []
+            for mask in range(a, b):
+                s = LinSystem(n, [pool[i] for i in range(len(pool)) if mask >> i & 1])
                 enc = encode(s)
                 _, pivots = rref(enc.a.augment(enc.b))
                 if n in pivots:  # pivot in the rhs column: inconsistent
@@ -654,42 +559,22 @@ def run_obs1(
                 consistent += 1
                 x = min_norm_solution(enc.a, enc.b)
                 if observation1_hat_search(s, x) is None:
-                    found_misses.append((s, x))
-            return consistent, found_misses
+                    bodies.append(lin_witness_text(s, x, "hat replacement failed"))
+            return consistent, bodies
 
-        chunks = _chunk_ranges(0, total, threads)
-        outputs = _map_trials(len(chunks), threads, lambda i: chunk_worker(chunks[i]))
-        consistent = sum(o[0] for o in outputs)
-        for o in outputs:
-            for s, x in o[1]:
-                misses += 1
-                sink.add("obs1", lin_witness_text(s, x, "hat replacement failed"))
-        extra = {"consistent_systems": consistent}
-        return _finish(
-            "obs1", config, total, total,
-            "hat_misses", str(misses), "0",
-            sink, {}, extra, started,
-        )
+        run.extra["consistent_systems"] = sum(run.collect(_chunked(0, trials, threads, scan)))
+    else:
+        run = _Run("obs1", _random_config(n, iters, seed), witness_dir)
 
-    config = {"n": n, "mode": "random", "iters": iters, "seed": seed}
+        def trial(t: int, rng: SplitMix64):
+            s, x = _unique_trial(n, rng)
+            if observation1_hat_search(s, x) is not None:
+                return None, ()
+            return None, (lin_witness_text(s, x, "hat replacement failed"),)
 
-    def worker(t: int):
-        rng = SplitMix64(derive_seed(seed, t))
-        s = random_unique_system(n, rng)
-        enc = encode(s)
-        x = solve_unique(enc.a, enc.b)
-        return s, x, observation1_hat_search(s, x)
-
-    results = _map_trials(iters, threads, worker)
-    for s, x, hat in results:
-        if hat is None:
-            misses += 1
-            sink.add("obs1", lin_witness_text(s, x, "hat replacement failed"))
-    return _finish(
-        "obs1", config, iters, iters,
-        "hat_misses", str(misses), "0",
-        sink, {}, {}, started,
-    )
+        run.collect(_seeded(iters, seed, threads, trial))
+        trials = iters
+    return run.report(trials, "hat_misses", str(run.violations), "0")
 
 
 def run_obs2(
@@ -701,37 +586,16 @@ def run_obs2(
 ) -> Report:
     """Hat replacement must succeed for every solution of every
     zero-dimensional system reached by saturation from the given seeds."""
-    started = time.time()
-    config = {"n": n, "mode": "random", "iters": iters, "seed": seed}
-    pool = full_pool(n, "full_En")
-
-    def worker(t: int):
-        rng = SplitMix64(derive_seed(seed, t))
-        return greedy_saturate(pool, rng)
-
-    outcomes = _map_trials(iters, threads, worker)
-    sink = WitnessSink(witness_dir)
-    tallies: dict[str, int] = {}
-    misses = 0
+    run = _Run("obs2", _random_config(n, iters, seed), witness_dir)
     searched = 0
-    for t, outcome in enumerate(outcomes):
-        _tally(tallies, outcome.errors)
-        if outcome.classification is not Classification.ZERO_DIMENSIONAL:
-            _tally(tallies, ["pool_exhausted_positive_dimensional"])
-            continue
+    for t, outcome in _saturated(run, n, "full_En", iters, seed, threads):
         for sol in outcome.solutions:
             searched += 1
             if observation2_hat_search(outcome.system, sol.entries) is None:
-                misses += 1
-                sink.add(
-                    "obs2",
+                run.witness(
                     poly_witness_text(
                         outcome.system, (sol,), f"hat replacement failed, trial {t}"
-                    ),
+                    )
                 )
-    extra = {"solutions_searched": searched}
-    return _finish(
-        "obs2", config, iters, iters,
-        "hat_misses", str(misses), "0",
-        sink, tallies, extra, started,
-    )
+    run.extra["solutions_searched"] = searched
+    return run.report(iters, "hat_misses", str(run.violations), "0")

@@ -55,8 +55,8 @@ class Unit:
 
 
 @dataclass(frozen=True, order=True)
-class Add:
-    """x_i + x_j = x_k, stored with i <= j."""
+class _BinaryOp:
+    """x_i (op) x_j = x_k, stored with i <= j; equal only within one subclass."""
 
     i: int
     j: int
@@ -69,10 +69,14 @@ class Add:
             object.__setattr__(self, "j", hi)
 
 
+class Add(_BinaryOp):
+    """x_i + x_j = x_k, stored with i <= j."""
+
+
 LinEquation = Unit | Add
 
 
-def _check_indices(eq: LinEquation, n: int) -> None:
+def _check_indices(eq: Unit | _BinaryOp, n: int) -> None:
     idx = (eq.i,) if isinstance(eq, Unit) else (eq.i, eq.j, eq.k)
     for v in idx:
         if not 1 <= v <= n:
@@ -277,7 +281,7 @@ def random_unique_system(n: int, rng: SplitMix64) -> LinSystem:
 
 
 def random_card_le_n_system(n: int, rng: SplitMix64, verbatim_rhs: bool = True) -> EncodedSystem:
-    """Row e_1 with rhs 1 followed by n-1 unconditионally appended random rows.
+    """Row e_1 with rhs 1 followed by n-1 unconditionally appended random rows.
 
     With ``verbatim_rhs`` the right-hand side of a drawn row e_i+e_j-e_k
     is 1 whenever k = j (the row then reads x_i = 1, a unit equation);
@@ -293,17 +297,14 @@ def random_card_le_n_system(n: int, rng: SplitMix64, verbatim_rhs: bool = True) 
         i = rng.randint(1, n)
         j = rng.randint(1, n)
         k = rng.randint(1, n)
-        row = [0] * n
-        row[i - 1] += 1
-        row[j - 1] += 1
-        row[k - 1] -= 1
-        rows.append(row)
+        eq = Add(i, j, k)
+        rows.append(_row_of(eq, n))
         if verbatim_rhs and k == j:
             b.append(1)
             provenance.append(Unit(i))
         else:
             b.append(0)
-            provenance.append(Add(i, j, k))
+            provenance.append(eq)
     return EncodedSystem(QMatrix(rows, cols=n), qvec(b), tuple(provenance))
 
 
@@ -319,16 +320,29 @@ def addition_row_pool(n: int) -> tuple[tuple[tuple[int, ...], Add], ...]:
     seen: dict[tuple[int, ...], Add] = {}
     order: list[tuple[int, ...]] = []
     for i, j, k in product(range(1, n + 1), repeat=3):
-        row = [0] * n
-        row[i - 1] += 1
-        row[j - 1] += 1
-        row[k - 1] -= 1
-        key = tuple(row)
+        eq = Add(i, j, k)
+        key = tuple(_row_of(eq, n))
         if key not in seen:
-            seen[key] = Add(i, j, k)
+            seen[key] = eq
             order.append(key)
     e1 = tuple(1 if c == 0 else 0 for c in range(n))
     return tuple((row, seen[row]) for row in order if row != e1)
+
+
+def equation_pool(n: int) -> list[LinEquation]:
+    """Equations of the linear universe, deduplicated by encoded row and
+    right-hand side; units first, then additions, each in index order."""
+    seen: set[tuple[tuple[int, ...], int]] = set()
+    pool: list[LinEquation] = []
+    eqs = [Unit(i) for i in range(1, n + 1)] + [
+        Add(i, j, k) for i in range(1, n + 1) for j in range(i, n + 1) for k in range(1, n + 1)
+    ]
+    for eq in eqs:
+        key = (tuple(_row_of(eq, n)), 1 if isinstance(eq, Unit) else 0)
+        if key not in seen:
+            seen.add(key)
+            pool.append(eq)
+    return pool
 
 
 DEFAULT_EXHAUSTIVE_CAP = 5
@@ -511,6 +525,19 @@ def conj2_check(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Fraction, boo
 HAT_CONSTANTS = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2))
 
 
+def hat_axes(xs: Sequence, constants: Sequence, bound) -> list[list]:
+    """Per-coordinate hat candidates: x_i first, then the constants, each
+    kept once and only when |r| <= bound."""
+    axes = []
+    for value in xs:
+        candidates = []
+        for option in (value, *constants):
+            if abs(option) <= bound and option not in candidates:
+                candidates.append(option)
+        axes.append(candidates)
+    return axes
+
+
 def observation1_hat_search(s: LinSystem, x: Sequence[Fraction]) -> QVector | None:
     """Search the per-coordinate grid {x_i, 0, 1, 2, 1/2} for a bounded solution.
 
@@ -524,15 +551,7 @@ def observation1_hat_search(s: LinSystem, x: Sequence[Fraction]) -> QVector | No
     xs = qvec(x)
     if not solves(s, xs):
         raise PreconditionError("x does not solve the system")
-    bound = Fraction(2) ** (s.n - 1)
-    axes: list[list[Fraction]] = []
-    for value in xs:
-        candidates = []
-        for option in (value, *HAT_CONSTANTS):
-            if abs(option) <= bound and option not in candidates:
-                candidates.append(option)
-        axes.append(candidates)
-    for hat in product(*axes):
+    for hat in product(*hat_axes(xs, HAT_CONSTANTS, Fraction(2) ** (s.n - 1))):
         if solves(s, hat):
             return hat
     return None

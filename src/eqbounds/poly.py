@@ -223,19 +223,6 @@ class Polynomial:
             total += v
         return total
 
-    def evaluate_with_scale(self, point: Sequence[complex]) -> tuple[complex, float]:
-        """Value and the sum of term magnitudes (evaluation condition scale)."""
-        total = 0j
-        scale = 0.0
-        for m, c in self.terms.items():
-            v = complex(c)
-            for i, e in enumerate(m):
-                if e:
-                    v *= point[i] ** e
-            total += v
-            scale += abs(v)
-        return total, scale
-
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, Polynomial)

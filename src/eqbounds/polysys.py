@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterable, Sequence
 
-from .linear import Add, LinSystem, PreconditionError, Unit
+from .linear import Add, PreconditionError, Unit, _BinaryOp, _check_indices, hat_axes
 from .poly import (
     Classification,
     GroebnerBasis,
@@ -33,29 +33,11 @@ class InconsistentInputError(Exception):
     pass
 
 
-@dataclass(frozen=True, order=True)
-class Mul:
+class Mul(_BinaryOp):
     """x_i * x_j = x_k, stored with i <= j."""
-
-    i: int
-    j: int
-    k: int
-
-    def __post_init__(self):
-        if self.i > self.j:
-            lo, hi = self.j, self.i
-            object.__setattr__(self, "i", lo)
-            object.__setattr__(self, "j", hi)
 
 
 PolyEquation = Unit | Add | Mul
-
-
-def _check_indices(eq: PolyEquation, n: int) -> None:
-    idx = (eq.i,) if isinstance(eq, Unit) else (eq.i, eq.j, eq.k)
-    for v in idx:
-        if not 1 <= v <= n:
-            raise ValueError(f"variable index {v} outside [1, {n}] in {eq}")
 
 
 @dataclass(frozen=True)
@@ -81,10 +63,6 @@ class PolySystem:
     @property
     def unknowns(self) -> int:
         return self.n - 1 if self.fix_x1 else self.n
-
-
-def from_lin_system(s: LinSystem) -> PolySystem:
-    return PolySystem(s.n, s.equations)
 
 
 def default_order(nvars: int) -> MonomialOrder:
@@ -397,14 +375,7 @@ def observation2_hat_search(
     polys = to_polynomials(s)
     if polys and max(abs(p.evaluate(xs)) for p in polys) > residual_tol:
         raise PreconditionError("x does not solve the system")
-    bound = double_exp_bound(s.n, "n_minus_2") + bound_tol
-    axes: list[list[complex]] = []
-    for value in xs:
-        candidates: list[complex] = []
-        for option in (value, *HAT_CONSTANTS):
-            if abs(option) <= bound and option not in candidates:
-                candidates.append(option)
-        axes.append(candidates)
+    axes = hat_axes(xs, HAT_CONSTANTS, double_exp_bound(s.n, "n_minus_2") + bound_tol)
     if nv == 0:
         return ()
     for hat in product(*axes):

@@ -1,8 +1,11 @@
 import json
 from fractions import Fraction
+from pathlib import Path
+
+import pytest
 
 from eqbounds import drivers
-from eqbounds.linear import conj2_check, conj2_rows
+from eqbounds.linear import BoundVerdict, conj2_check, conj2_rows
 from eqbounds.report import CONFIRMED, decide_verdict
 from eqbounds.textio import parse_system_file, parse_witness_solution
 
@@ -99,11 +102,17 @@ def test_conj5_variants(tmp_path):
         assert r.verdict == CONFIRMED
         assert float(r.statistic_value) <= bound + 1e-6
         assert r.extra["zero_dimensional_trials"] == 8
+    # variant d's statistic starts at 0, the others' at 1
+    r = drivers.run_conj5("d", n=3, iters=1, seed=0, witness_dir=tmp_path)
+    assert r.statistic_value == "0.0"
 
 
 def test_conj5_variant_a_reports_maximality(tmp_path):
     r = drivers.run_conj5("a", n=3, iters=6, seed=8, witness_dir=tmp_path)
     assert "maximality_rate" in r.extra
+    # no saturated system here is maximal, so the bound is checked on no
+    # trial; the verdict still reads confirmed (see ROADMAP, aim 3)
+    assert r.extra["bound_checked_trials"] == 0
     assert r.verdict == CONFIRMED
 
 
@@ -154,20 +163,60 @@ def test_witness_file_round_trip(tmp_path):
     assert parse_witness_solution(Path(sink.paths[0]).read_text()) == x
 
 
-def test_counterexample_path_end_to_end(tmp_path, monkeypatch):
-    # tighten the bound check so the reporting path (witness file, verdict,
-    # exit code) can be exercised without a genuine counterexample
-    from eqbounds import drivers as drv
-    from eqbounds.linear import BoundVerdict
+# command -> (keyword arguments, drivers attribute, wrapper of the original);
+# each wrapper makes the conjecture check in run_<command> fail on every trial
+FORCED_VIOLATIONS = {
+    "conjI": ({"n": 3, "iters": 3, "seed": 1}, "check_bound_pow2",
+              lambda f: lambda x, n: BoundVerdict(False, 1)),
+    "conj1": ({"n": 3, "iters": 3, "seed": 1}, "check_bound_pow2",
+              lambda f: lambda x, n: BoundVerdict(False, 1)),
+    "conj2": ({"n": 3, "exhaustive": False, "iters": 3, "seed": 1},
+              "_max_abs_maximal_minor_int", lambda f: lambda rows: f(rows) + 100),
+    "conj3": ({"n": 3, "exhaustive": False, "iters": 3, "seed": 1}, "conj3_stats",
+              lambda f: lambda x: (f(x)[0] + 100, f(x)[1])),
+    "conj4": ({"n": 3, "iters": 3, "seed": 1}, "conj4_check",
+              lambda f: lambda x: (f(x)[0], False)),
+    "conj5": ({"variant": "b", "n": 3, "iters": 3, "seed": 1}, "check_bound_double_exp",
+              lambda f: lambda *args: False),
+    "conjII": ({"n": 3, "iters": 3, "seed": 1}, "double_exp_bound",
+               lambda f: lambda n, exponent: -1.0),
+    "obs1": ({"n": 4, "exhaustive": False, "iters": 2, "seed": 1},
+             "observation1_hat_search", lambda f: lambda s, x: None),
+    "obs2": ({"n": 2, "iters": 2, "seed": 1}, "observation2_hat_search",
+             lambda f: lambda s, x: None),
+}
 
-    def impossible_bound(x, n):
-        return BoundVerdict(False, 1)
 
-    monkeypatch.setattr(drv, "check_bound_pow2", impossible_bound)
-    r = drv.run_conjI(n=3, iters=3, seed=1, witness_dir=tmp_path)
+# Witness files do not record n, and the parser infers it from the largest
+# index named.  A conj1 system need not name x_n, so its witnesses re-parse
+# only with n given.
+INFERRED_N_FAILS = ("conj1",)
+
+
+@pytest.mark.parametrize("command", sorted(FORCED_VIOLATIONS))
+def test_counterexample_path_end_to_end(command, tmp_path, monkeypatch):
+    # force the conjecture check in run_<command> to fail so the reporting
+    # path (witness file, verdict, exit code) runs without a genuine
+    # counterexample
+    kwargs, attr, wrap = FORCED_VIOLATIONS[command]
+    monkeypatch.setattr(drivers, attr, wrap(getattr(drivers, attr)))
+    r = getattr(drivers, f"run_{command}")(witness_dir=tmp_path, **kwargs)
     assert r.verdict == "counterexample"
     assert r.exit_code == 2
     assert r.witnesses
-    reparsed = parse_system_file(r.witnesses[0])
-    assert reparsed.n == 3
-    assert parse_witness_solution(__import__("pathlib").Path(r.witnesses[0]).read_text())
+    for path in r.witnesses:
+        text = Path(path).read_text()
+        assert Path(path).name.startswith(f"{command}-")
+        if command == "conj2":  # a stack of n-1 pattern rows of width n
+            rows = [line.split() for line in text.splitlines() if not line.startswith("#")]
+            assert len(rows) == kwargs["n"] - 1
+            assert all(len(row) == kwargs["n"] for row in rows)
+            continue
+        if command in INFERRED_N_FAILS:
+            reparsed = parse_system_file(path, n=kwargs["n"])
+        else:
+            reparsed = parse_system_file(path)
+            assert reparsed.n == kwargs["n"]
+        assert reparsed.equations
+        if command not in ("conj5", "conjII", "obs2"):  # exact linear solution rides along
+            assert len(parse_witness_solution(text)) == kwargs["n"]

@@ -23,6 +23,7 @@ from eqbounds.linear import (
     conj4_check,
     encode,
     enlarge_to_unique,
+    equation_pool,
     exhaustive_unique_systems,
     expand_solution,
     normalize_units,
@@ -204,6 +205,25 @@ def test_addition_row_pool_counts():
 def test_addition_row_pool_n2():
     rows = [row for row, _ in addition_row_pool(2)]
     assert rows == [(2, -1), (0, 1), (-1, 2)]
+
+
+def test_equation_pool_matches_encoding_dedup():
+    # oracle: deduplicate the universe by the encoded row and rhs of a
+    # one-equation system, keeping first occurrences (obs1 masks index this order)
+    for n in (1, 2, 3, 4):
+        universe = [Unit(i) for i in range(1, n + 1)] + [
+            Add(i, j, k)
+            for i in range(1, n + 1) for j in range(i, n + 1) for k in range(1, n + 1)
+        ]
+        seen, expected = set(), []
+        for eq in universe:
+            enc = encode(LinSystem(n, [eq]))
+            key = (tuple(enc.a.row(0)), enc.b[0])
+            if key not in seen:
+                seen.add(key)
+                expected.append(eq)
+        assert equation_pool(n) == expected
+    assert len(equation_pool(2)) == 6
 
 
 def test_exhaustive_n2_full_enumeration_oracle():

@@ -35,6 +35,12 @@ def lexp(n):
 
 def test_mul_canonical():
     assert Mul(3, 1, 2) == Mul(1, 3, 2)
+    assert Mul(3, 1, 2).i == 1 and Mul(3, 1, 2).j == 3
+    # Add and Mul share the i <= j normalisation but never compare equal
+    assert Add(1, 1, 2) != Mul(1, 1, 2)
+    assert len({Add(1, 1, 2), Mul(1, 1, 2)}) == 2
+    assert repr(Add(2, 1, 3)) == "Add(i=1, j=2, k=3)"
+    assert repr(Mul(2, 1, 3)) == "Mul(i=1, j=2, k=3)"
 
 
 def test_to_polynomials_examples():
