@@ -2,115 +2,49 @@
 unit (x_i = 1), addition (x_i + x_j = x_k) and multiplication
 (x_i * x_j = x_k) equations."""
 
-from .linalg import (
-    QMatrix,
-    det_bareiss,
-    is_consistent,
-    min_norm_solution,
-    norm_sq,
-    pseudoinverse,
-    rank,
-    rank_factorization,
-    rref,
-    solve_cramer,
-    solve_unique,
+from .drivers import (
+    run_conj1,
+    run_conj2,
+    run_conj3,
+    run_conj4,
+    run_conj5,
+    run_conjI,
+    run_conjII,
+    run_obs1,
+    run_obs2,
 )
-from .linear import (
-    Add,
-    LinSystem,
-    Unit,
-    check_bound_pow2,
-    check_bound_sqrt5,
-    conj2_check,
-    conj2_rows,
-    conj3_stats,
-    conj4_check,
-    encode,
-    enlarge_to_unique,
-    exhaustive_unique_systems,
-    normalize_units,
-    observation1_hat_search,
-    random_card_le_n_system,
-    random_unique_system,
-)
-from .poly import (
-    Classification,
-    GroebnerBasis,
-    MonomialOrder,
-    Polynomial,
-    buchberger,
-    classify_dimension,
-    normal_form,
-    standard_monomial_count,
-)
-from .polysys import (
-    Mul,
-    PolySystem,
-    check_bound_double_exp,
-    full_pool,
-    greedy_saturate,
-    is_maximal_consistent,
-    minimal_norm_indices,
-    observation2_hat_search,
-    to_polynomials,
-)
-from .rng import SplitMix64, derive_seed
-from .solve import ComplexVector, solve_zero_dim, univariate_roots
-from .textio import parse_system_file, parse_system_text, system_to_text
+from .linalg import det_bareiss, pseudoinverse, solve_cramer
+from .linear import Add, Mul, System, Unit, conj2_check
+from .poly import normal_form, standard_monomial_count
+from .solve import solve_zero_dim
+from .textio import parse_system_file, parse_system_text, parse_witness_solution
 
 __version__ = "0.1.0"
 
+# The experiment drivers (the CLI reaches them by name), systems and their
+# text format, and the exact oracles that only the tests call.
 __all__ = [
     "Add",
-    "Classification",
-    "ComplexVector",
-    "GroebnerBasis",
-    "LinSystem",
-    "MonomialOrder",
     "Mul",
-    "PolySystem",
-    "Polynomial",
-    "QMatrix",
-    "SplitMix64",
+    "System",
     "Unit",
-    "buchberger",
-    "check_bound_double_exp",
-    "check_bound_pow2",
-    "check_bound_sqrt5",
-    "classify_dimension",
     "conj2_check",
-    "conj2_rows",
-    "conj3_stats",
-    "conj4_check",
-    "derive_seed",
     "det_bareiss",
-    "encode",
-    "enlarge_to_unique",
-    "exhaustive_unique_systems",
-    "full_pool",
-    "greedy_saturate",
-    "is_consistent",
-    "is_maximal_consistent",
-    "min_norm_solution",
-    "minimal_norm_indices",
-    "norm_sq",
     "normal_form",
-    "normalize_units",
-    "observation1_hat_search",
-    "observation2_hat_search",
     "parse_system_file",
     "parse_system_text",
+    "parse_witness_solution",
     "pseudoinverse",
-    "random_card_le_n_system",
-    "random_unique_system",
-    "rank",
-    "rank_factorization",
-    "rref",
+    "run_conj1",
+    "run_conj2",
+    "run_conj3",
+    "run_conj4",
+    "run_conj5",
+    "run_conjI",
+    "run_conjII",
+    "run_obs1",
+    "run_obs2",
     "solve_cramer",
-    "solve_unique",
     "solve_zero_dim",
     "standard_monomial_count",
-    "system_to_text",
-    "to_polynomials",
-    "univariate_roots",
 ]

@@ -16,18 +16,15 @@ from functools import cache
 from . import drivers
 from .linalg import is_consistent, min_norm_solution, rank, rational_to_text
 from .linear import (
-    LinSystem,
+    Mul,
+    System,
     check_bound_pow2,
     conj3_stats,
     conj4_check,
     encode,
 )
 from .poly import Classification, buchberger, classify_dimension
-from .polysys import (
-    PolySystem,
-    minimal_norm_indices,
-    to_polynomials,
-)
+from .polysys import minimal_norm_indices, to_polynomials
 from .solve import solve_zero_dim
 from .textio import ParseError, parse_system_file
 
@@ -47,6 +44,16 @@ def _parse_range(text: str) -> tuple[int, int]:
         return int(lo), int(hi)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"range must look like A..B, got {text!r}") from exc
+
+
+def _count(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 0, got {text!r}")
+    return value
 
 
 def _exhaustive(help_text: str, **keywords) -> tuple:
@@ -88,7 +95,7 @@ def build_parser() -> _Parser:
     for command, (help_text, n_default, iters_default, options) in COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("--n", type=int, default=n_default, help="variable count")
-        p.add_argument("--iters", type=int, default=iters_default,
+        p.add_argument("--iters", type=_count, default=iters_default,
                        help="randomized trial count")
         p.add_argument("--seed", type=int, default=0, help="64-bit seed for the run")
         p.add_argument("--threads", type=int, default=1,
@@ -106,7 +113,7 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _solve_linear(s: LinSystem) -> tuple[dict, list[str]]:
+def _solve_linear(s: System) -> tuple[dict, list[str]]:
     enc = encode(s)
     consistent = is_consistent(enc.a, enc.b)
     payload: dict = {"kind": "linear", "n": s.n, "equations": len(s.equations),
@@ -143,7 +150,7 @@ def _solve_linear(s: LinSystem) -> tuple[dict, list[str]]:
     return payload, lines
 
 
-def _solve_poly(s: PolySystem) -> tuple[dict, list[str]]:
+def _solve_poly(s: System) -> tuple[dict, list[str]]:
     polys = to_polynomials(s)
     if s.unknowns == 0 or not polys:
         classification = Classification.ZERO_DIMENSIONAL if s.unknowns == 0 else (
@@ -193,7 +200,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if command == "solve":
             system = parse_system_file(options["path"], n=options["n"])
-            solve = _solve_linear if isinstance(system, LinSystem) else _solve_poly
+            linear = not any(isinstance(eq, Mul) for eq in system.equations)
+            solve = _solve_linear if linear else _solve_poly
             payload, lines = solve(system)
             print(json.dumps(payload, indent=2) if as_json else "\n".join(lines))
             return 0

@@ -30,7 +30,7 @@ from .linalg import (
 )
 from .linear import (
     ExhaustiveScan,
-    LinSystem,
+    System,
     addition_row_pool,
     check_bound_pow2,
     check_bound_sqrt5,
@@ -261,7 +261,7 @@ def run_conj1(
         stat = max(abs(v) for v in x0)
         if check_bound_pow2(x0, n).passed:
             return stat, ()
-        s = LinSystem(n, enc.provenance)
+        s = System(n, enc.provenance)
         return stat, (lin_witness_text(s, x0, f"bound violation at trial {t}"),)
 
     best = max([Fraction(1), *run.collect(_seeded(iters, seed, threads, trial))])
@@ -316,9 +316,9 @@ def run_conj3(
                 num, den = conj3_stats(sol)
                 max_num = max(max_num, num)
                 max_den = max(max_den, den)
-                if num > bound or den > bound:  # a LinSystem only for a violation
+                if num > bound or den > bound:  # a System only for a violation
                     bodies.append(
-                        lin_witness_text(LinSystem(n, eqs), sol, "numerator/denominator violation")
+                        lin_witness_text(System(n, eqs), sol, "numerator/denominator violation")
                     )
             return (max_num, max_den, counts), bodies
 
@@ -551,7 +551,7 @@ def run_obs1(
             consistent = 0
             bodies = []
             for mask in range(a, b):
-                s = LinSystem(n, [pool[i] for i in range(len(pool)) if mask >> i & 1])
+                s = System(n, [pool[i] for i in range(len(pool)) if mask >> i & 1])
                 enc = encode(s)
                 _, pivots = rref(enc.a.augment(enc.b))
                 if n in pivots:  # pivot in the rhs column: inconsistent

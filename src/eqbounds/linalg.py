@@ -40,18 +40,9 @@ def qvec(entries: Iterable[Scalar]) -> QVector:
     return tuple(Fraction(e) for e in entries)
 
 
-def norm_sq(v: Sequence[Scalar]) -> Fraction:
-    """Sum of squared entries; stays in Q so norms compare exactly."""
-    return sum((Fraction(e) * e for e in v), Fraction(0))
-
-
 def rational_to_text(q: Fraction) -> str:
     """"p/q" in lowest terms, "p" when the denominator is 1."""
     return str(q)
-
-
-def rational_from_text(s: str) -> Fraction:
-    return Fraction(s.strip())
 
 
 class QMatrix:
@@ -131,14 +122,6 @@ class QMatrix:
 
     def __repr__(self) -> str:
         return f"QMatrix({[[str(x) for x in r] for r in self._e]})"
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(rational_to_text(x) for x in r) for r in self._e)
-
-    @classmethod
-    def from_text(cls, text: str) -> "QMatrix":
-        rows = [[rational_from_text(tok) for tok in line.split()] for line in text.splitlines() if line.strip()]
-        return cls(rows)
 
 
 def transpose(m: QMatrix) -> QMatrix:

@@ -1,18 +1,19 @@
-"""Systems of unit and addition equations over n variables.
+"""Systems of unit, addition and multiplication equations over n variables.
 
 The equation universe is
 
-    { x_i = 1 : 1 <= i <= n }  u  { x_i + x_j = x_k : 1 <= i <= j <= n, 1 <= k <= n }
+    { x_i = 1 }  u  { x_i + x_j = x_k : i <= j }  u  { x_i * x_j = x_k : i <= j }
 
-A system is a duplicate-free list of such equations.  Its matrix
-encoding stacks one row per equation: a unit equation contributes the
-standard basis row e_i with right-hand side 1, an addition equation
+with indices in [1, n].  A system is a duplicate-free tuple of such
+equations; the linear systems are its multiplication-free part.  Their
+matrix encoding stacks one row per equation: a unit equation contributes
+the standard basis row e_i with right-hand side 1, an addition equation
 contributes the formal sum e_i + e_j - e_k (colliding indices cancel or
 accumulate, so entries always land in {-1, 0, 1, 2}) with right-hand
 side 0.
 
-This module also hosts the generators (randomized and exhaustive) and
-the bound checkers driven by the CLI.
+This module also hosts the linear generators (randomized and
+exhaustive) and the bound checkers driven by the CLI.
 """
 
 from __future__ import annotations
@@ -27,23 +28,17 @@ from typing import Iterable, Iterator, Sequence
 from .linalg import (
     QMatrix,
     QVector,
-    is_consistent,
     max_abs_maximal_minor,
     qvec,
-    rref,
 )
 from .rng import SplitMix64
 
 
-class InconsistentSystemError(Exception):
+class CapExceededError(ValueError):
     pass
 
 
-class CapExceededError(Exception):
-    pass
-
-
-class PreconditionError(Exception):
+class PreconditionError(ValueError):
     pass
 
 
@@ -73,10 +68,14 @@ class Add(_BinaryOp):
     """x_i + x_j = x_k, stored with i <= j."""
 
 
-LinEquation = Unit | Add
+class Mul(_BinaryOp):
+    """x_i * x_j = x_k, stored with i <= j."""
 
 
-def _check_indices(eq: Unit | _BinaryOp, n: int) -> None:
+Equation = Unit | Add | Mul
+
+
+def _check_indices(eq: Equation, n: int) -> None:
     idx = (eq.i,) if isinstance(eq, Unit) else (eq.i, eq.j, eq.k)
     for v in idx:
         if not 1 <= v <= n:
@@ -84,11 +83,15 @@ def _check_indices(eq: Unit | _BinaryOp, n: int) -> None:
 
 
 @dataclass(frozen=True)
-class LinSystem:
-    n: int
-    equations: tuple[LinEquation, ...]
+class System:
+    """Equations over x_1..x_n.  With ``fix_x1`` the symbol x_1 stands for
+    the constant 1 and drops out of the unknowns."""
 
-    def __init__(self, n: int, equations: Iterable[LinEquation]):
+    n: int
+    equations: tuple[Equation, ...]
+    fix_x1: bool = False
+
+    def __init__(self, n: int, equations: Iterable[Equation], fix_x1: bool = False):
         if n < 1:
             raise ValueError("n must be >= 1")
         eqs = []
@@ -100,16 +103,29 @@ class LinSystem:
                 eqs.append(eq)
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "equations", tuple(eqs))
+        object.__setattr__(self, "fix_x1", fix_x1)
+
+    @property
+    def unknowns(self) -> int:
+        return self.n - 1 if self.fix_x1 else self.n
+
+
+def universe(n: int) -> list[Equation]:
+    """Every equation over n variables: units, then additions, then
+    multiplications, each in index order."""
+    triples = [(i, j, k) for i in range(1, n + 1) for j in range(i, n + 1) for k in range(1, n + 1)]
+    units = [Unit(i) for i in range(1, n + 1)]
+    return units + [Add(*t) for t in triples] + [Mul(*t) for t in triples]
 
 
 @dataclass(frozen=True)
 class EncodedSystem:
     a: QMatrix
     b: QVector
-    provenance: tuple[LinEquation, ...]
+    provenance: tuple[Equation, ...]
 
 
-def _row_of(eq: LinEquation, n: int) -> list[int]:
+def _row_of(eq: Unit | Add, n: int) -> list[int]:
     row = [0] * n
     if isinstance(eq, Unit):
         row[eq.i - 1] = 1
@@ -120,14 +136,16 @@ def _row_of(eq: LinEquation, n: int) -> list[int]:
     return row
 
 
-def encode(s: LinSystem) -> EncodedSystem:
-    """Matrix encoding of a system; row order preserves equation order."""
+def encode(s: System) -> EncodedSystem:
+    """Matrix encoding of a linear system; row order preserves equation order."""
+    if any(isinstance(eq, Mul) for eq in s.equations):
+        raise ValueError("a system with a multiplication equation has no matrix encoding")
     rows = [_row_of(eq, s.n) for eq in s.equations]
     b = [1 if isinstance(eq, Unit) else 0 for eq in s.equations]
     return EncodedSystem(QMatrix(rows, cols=s.n), qvec(b), s.equations)
 
 
-def solves(s: LinSystem, x: Sequence[Fraction]) -> bool:
+def solves(s: System, x: Sequence[Fraction]) -> bool:
     """Exact check that the tuple x satisfies every equation of s."""
     if len(x) != s.n:
         return False
@@ -135,56 +153,12 @@ def solves(s: LinSystem, x: Sequence[Fraction]) -> bool:
         if isinstance(eq, Unit):
             if x[eq.i - 1] != 1:
                 return False
+        elif isinstance(eq, Mul):
+            if x[eq.i - 1] * x[eq.j - 1] != x[eq.k - 1]:
+                return False
         elif x[eq.i - 1] + x[eq.j - 1] != x[eq.k - 1]:
             return False
     return True
-
-
-def normalize_units(s: LinSystem) -> tuple[LinSystem, dict[int, int]]:
-    """Merge all unit equations onto the smallest unit index.
-
-    Every variable carrying a unit equation is replaced by the one with
-    the minimal index, the survivors are renumbered contiguously with
-    the unit variable first, and the substitution old index -> new index
-    is returned alongside.  A system without unit equations is returned
-    unchanged (the all-zeros tuple solves it when it is consistent).
-    """
-    unit_vars = sorted({eq.i for eq in s.equations if isinstance(eq, Unit)})
-    if not unit_vars:
-        return s, {v: v for v in range(1, s.n + 1)}
-    rep = unit_vars[0]
-    collapse = {v: rep for v in unit_vars}
-    survivors = [v for v in range(1, s.n + 1) if v not in unit_vars[1:]]
-    ordered = [rep] + [v for v in survivors if v != rep]
-    new_index = {old: pos + 1 for pos, old in enumerate(ordered)}
-    mapping = {v: new_index[collapse.get(v, v)] for v in range(1, s.n + 1)}
-    new_eqs = []
-    for eq in s.equations:
-        if isinstance(eq, Unit):
-            new_eqs.append(Unit(mapping[eq.i]))
-        else:
-            new_eqs.append(Add(mapping[eq.i], mapping[eq.j], mapping[eq.k]))
-    return LinSystem(len(ordered), new_eqs), mapping
-
-
-def expand_solution(x: Sequence[Fraction], mapping: dict[int, int]) -> QVector:
-    """Lift a solution of the reduced system back to the original variables."""
-    return tuple(x[mapping[v] - 1] for v in sorted(mapping))
-
-
-def enlarge_to_unique(s: LinSystem) -> LinSystem:
-    """Pin every free variable to zero so the system gains a unique solution.
-
-    For each non-pivot column j of the encoded matrix the equation
-    x_j + x_j = x_j (which encodes x_j = 0) is appended; the result has
-    encoded rank n.
-    """
-    enc = encode(s)
-    if not is_consistent(enc.a, enc.b):
-        raise InconsistentSystemError("cannot enlarge an inconsistent system")
-    _, pivots = rref(enc.a)
-    free = [j + 1 for j in range(s.n) if j not in pivots]
-    return LinSystem(s.n, list(s.equations) + [Add(j, j, j) for j in free])
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +231,7 @@ class _Echelon:
 # ---------------------------------------------------------------------------
 # generators
 
-def random_unique_system(n: int, rng: SplitMix64) -> LinSystem:
+def random_unique_system(n: int, rng: SplitMix64) -> System:
     """Unit equation on x_1 plus addition rows kept only when they raise rank.
 
     Triples (i, j, k) are drawn uniformly from [1, n]^3 until the stack
@@ -265,7 +239,7 @@ def random_unique_system(n: int, rng: SplitMix64) -> LinSystem:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    eqs: list[LinEquation] = [Unit(1)]
+    eqs: list[Equation] = [Unit(1)]
     ech = _Echelon(n)
     ech.push(ech.reduce(_row_of(Unit(1), n) + [1]))
     while ech.rank < n:
@@ -277,7 +251,7 @@ def random_unique_system(n: int, rng: SplitMix64) -> LinSystem:
         if entry is not None:
             ech.push(entry)
             eqs.append(eq)
-    return LinSystem(n, eqs)
+    return System(n, eqs)
 
 
 def random_card_le_n_system(n: int, rng: SplitMix64, verbatim_rhs: bool = True) -> EncodedSystem:
@@ -292,7 +266,7 @@ def random_card_le_n_system(n: int, rng: SplitMix64, verbatim_rhs: bool = True) 
         raise ValueError("n must be >= 1")
     rows = [_row_of(Unit(1), n)]
     b = [1]
-    provenance: list[LinEquation] = [Unit(1)]
+    provenance: list[Equation] = [Unit(1)]
     for _ in range(n - 1):
         i = rng.randint(1, n)
         j = rng.randint(1, n)
@@ -329,15 +303,14 @@ def addition_row_pool(n: int) -> tuple[tuple[tuple[int, ...], Add], ...]:
     return tuple((row, seen[row]) for row in order if row != e1)
 
 
-def equation_pool(n: int) -> list[LinEquation]:
-    """Equations of the linear universe, deduplicated by encoded row and
-    right-hand side; units first, then additions, each in index order."""
+def equation_pool(n: int) -> list[Equation]:
+    """The multiplication-free part of the universe, deduplicated by
+    encoded row and right-hand side (first occurrences kept)."""
     seen: set[tuple[tuple[int, ...], int]] = set()
-    pool: list[LinEquation] = []
-    eqs = [Unit(i) for i in range(1, n + 1)] + [
-        Add(i, j, k) for i in range(1, n + 1) for j in range(i, n + 1) for k in range(1, n + 1)
-    ]
-    for eq in eqs:
+    pool: list[Equation] = []
+    for eq in universe(n):
+        if isinstance(eq, Mul):
+            continue
         key = (tuple(_row_of(eq, n)), 1 if isinstance(eq, Unit) else 0)
         if key not in seen:
             seen.add(key)
@@ -362,7 +335,7 @@ def exhaustive_unique_systems(
     end: int | None = None,
     cap: int = DEFAULT_EXHAUSTIVE_CAP,
     scan: ExhaustiveScan | None = None,
-) -> Iterator[tuple[tuple[LinEquation, ...], QVector]]:
+) -> Iterator[tuple[tuple[Equation, ...], QVector]]:
     """All rank-n stacks of n-1 pool rows under e_1, with their solutions.
 
     Each item is the stack's equations, x_1 = 1 first and then the pool
@@ -392,10 +365,10 @@ def exhaustive_unique_systems(
     rows = [row + (0,) for row, _ in pool]
     ech = _Echelon(n)
     ech.push(ech.reduce(_row_of(Unit(1), n) + [1]))
-    chosen: list[LinEquation] = [Unit(1)]
+    chosen: list[Equation] = [Unit(1)]
     pos = 0  # lex rank of the next combination to be visited
 
-    def walk(first: int, slots_left: int) -> Iterator[tuple[tuple[LinEquation, ...], QVector]]:
+    def walk(first: int, slots_left: int) -> Iterator[tuple[tuple[Equation, ...], QVector]]:
         nonlocal pos
         if slots_left == 0:
             if lo <= pos < hi:
@@ -538,7 +511,7 @@ def hat_axes(xs: Sequence, constants: Sequence, bound) -> list[list]:
     return axes
 
 
-def observation1_hat_search(s: LinSystem, x: Sequence[Fraction]) -> QVector | None:
+def observation1_hat_search(s: System, x: Sequence[Fraction]) -> QVector | None:
     """Search the per-coordinate grid {x_i, 0, 1, 2, 1/2} for a bounded solution.
 
     Candidates per coordinate keep x_i first, then 0, 1, 2, 1/2, filtered

@@ -195,9 +195,6 @@ class Polynomial:
         inv = _F1 / lc
         return Polynomial({m: c * inv for m, c in self.terms.items()}, self.nvars, self.order)
 
-    def total_degree(self) -> int:
-        return max((sum(m) for m in self.terms), default=0)
-
     def degree_in(self, var: int) -> int:
         return max((m[var] for m in self.terms), default=0)
 

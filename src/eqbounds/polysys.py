@@ -1,22 +1,29 @@
-"""Systems of unit, addition and multiplication equations.
+"""Polynomial view of systems, greedy saturation and its checks.
 
-The equation universe extends the linear one with products:
-
-    { x_i = 1 }  u  { x_i + x_j = x_k : i <= j }  u  { x_i * x_j = x_k : i <= j }
-
-A system converts to polynomial generators over Q (x_i - 1,
-x_i + x_j - x_k, x_i*x_j - x_k).  With ``fix_x1`` the symbol x_1 is
-replaced by the constant 1 throughout and drops out of the unknowns,
-mirroring the candidate pools that hard-wire the first variable.
+A system (`linear.System`) converts to polynomial generators over Q
+(x_i - 1, x_i + x_j - x_k, x_i*x_j - x_k).  With ``fix_x1`` the symbol
+x_1 is replaced by the constant 1 throughout and drops out of the
+unknowns, mirroring the candidate pools that hard-wire the first
+variable.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .linear import Add, PreconditionError, Unit, _BinaryOp, _check_indices, hat_axes
+from .linear import (
+    HAT_CONSTANTS,
+    Add,
+    Equation,
+    Mul,
+    PreconditionError,
+    System,
+    Unit,
+    hat_axes,
+    universe,
+)
 from .poly import (
     Classification,
     GroebnerBasis,
@@ -31,38 +38,6 @@ from .solve import ComplexVector, solve_zero_dim
 
 class InconsistentInputError(Exception):
     pass
-
-
-class Mul(_BinaryOp):
-    """x_i * x_j = x_k, stored with i <= j."""
-
-
-PolyEquation = Unit | Add | Mul
-
-
-@dataclass(frozen=True)
-class PolySystem:
-    n: int
-    equations: tuple[PolyEquation, ...]
-    fix_x1: bool = False
-
-    def __init__(self, n: int, equations: Iterable[PolyEquation], fix_x1: bool = False):
-        if n < 1:
-            raise ValueError("n must be >= 1")
-        eqs = []
-        seen = set()
-        for eq in equations:
-            _check_indices(eq, n)
-            if eq not in seen:
-                seen.add(eq)
-                eqs.append(eq)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "equations", tuple(eqs))
-        object.__setattr__(self, "fix_x1", fix_x1)
-
-    @property
-    def unknowns(self) -> int:
-        return self.n - 1 if self.fix_x1 else self.n
 
 
 def default_order(nvars: int) -> MonomialOrder:
@@ -80,7 +55,7 @@ def _symbol(index: int, n: int, fix_x1: bool, order: MonomialOrder) -> Polynomia
 
 
 def equation_polynomial(
-    eq: PolyEquation, n: int, fix_x1: bool, order: MonomialOrder | None = None
+    eq: Equation, n: int, fix_x1: bool, order: MonomialOrder | None = None
 ) -> Polynomial:
     nv = n - 1 if fix_x1 else n
     if order is None:
@@ -96,7 +71,7 @@ def equation_polynomial(
     return xi * xj - xk
 
 
-def to_polynomials(s: PolySystem, order: MonomialOrder | None = None) -> list[Polynomial]:
+def to_polynomials(s: System, order: MonomialOrder | None = None) -> list[Polynomial]:
     """Generators of the system; duplicates and identically-zero ones drop out."""
     nv = s.unknowns
     if order is None:
@@ -112,20 +87,6 @@ def to_polynomials(s: PolySystem, order: MonomialOrder | None = None) -> list[Po
     return out
 
 
-def all_equations(n: int) -> list[PolyEquation]:
-    """The full equation universe over n variables, in a fixed order."""
-    eqs: list[PolyEquation] = [Unit(i) for i in range(1, n + 1)]
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(1, n + 1):
-                eqs.append(Add(i, j, k))
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            for k in range(1, n + 1):
-                eqs.append(Mul(i, j, k))
-    return eqs
-
-
 # ---------------------------------------------------------------------------
 # candidate pools for greedy saturation
 
@@ -134,7 +95,7 @@ POOL_VARIANTS = ("with_units_fixed_x1", "no_units_all_vars", "full_En")
 
 @dataclass(frozen=True)
 class PoolCandidate:
-    equation: PolyEquation
+    equation: Equation
     poly: Polynomial
 
 
@@ -166,7 +127,7 @@ def full_pool(n: int, variant: str) -> CandidatePool:
     seen: set[Polynomial] = set()
     out: list[PoolCandidate] = []
 
-    def push(eq: PolyEquation) -> None:
+    def push(eq: Equation) -> None:
         p = equation_polynomial(eq, n, fix, order)
         if p not in seen:
             seen.add(p)
@@ -191,7 +152,7 @@ def full_pool(n: int, variant: str) -> CandidatePool:
 
 @dataclass(frozen=True)
 class TrialOutcome:
-    system: PolySystem
+    system: System
     classification: Classification
     solutions: tuple[ComplexVector, ...]
     max_abs_coordinate: float
@@ -251,7 +212,7 @@ def greedy_saturate(pool: CandidatePool, rng: SplitMix64) -> TrialOutcome:
             if classification is Classification.ZERO_DIMENSIONAL:
                 break
 
-    system = PolySystem(
+    system = System(
         pool.n, [pool.candidates[i].equation for i in appended], fix_x1=pool.fix_x1
     )
     errors: list[str] = []
@@ -312,7 +273,7 @@ def real_solutions(
     )
 
 
-def is_maximal_consistent(s: PolySystem) -> tuple[bool, list[PolyEquation]]:
+def is_maximal_consistent(s: System) -> tuple[bool, list[Equation]]:
     """Check inclusion-maximality of a consistent system.
 
     Every equation of the universe not already present is appended in
@@ -334,8 +295,8 @@ def is_maximal_consistent(s: PolySystem) -> tuple[bool, list[PolyEquation]]:
     present = set(s.equations)
     if s.fix_x1:
         present.add(Unit(1))
-    extensions: list[PolyEquation] = []
-    for eq in all_equations(s.n):
+    extensions: list[Equation] = []
+    for eq in universe(s.n):
         if eq in present:
             continue
         p = equation_polynomial(eq, s.n, s.fix_x1, order)
@@ -350,11 +311,8 @@ def is_maximal_consistent(s: PolySystem) -> tuple[bool, list[PolyEquation]]:
     return not extensions, extensions
 
 
-HAT_CONSTANTS = (0j, 1 + 0j, 2 + 0j, 0.5 + 0j)
-
-
 def observation2_hat_search(
-    s: PolySystem,
+    s: System,
     x: Sequence[complex],
     residual_tol: float = 1e-8,
     bound_tol: float = 1e-6,
@@ -375,7 +333,8 @@ def observation2_hat_search(
     polys = to_polynomials(s)
     if polys and max(abs(p.evaluate(xs)) for p in polys) > residual_tol:
         raise PreconditionError("x does not solve the system")
-    axes = hat_axes(xs, HAT_CONSTANTS, double_exp_bound(s.n, "n_minus_2") + bound_tol)
+    constants = [complex(c) for c in HAT_CONSTANTS]
+    axes = hat_axes(xs, constants, double_exp_bound(s.n, "n_minus_2") + bound_tol)
     if nv == 0:
         return ()
     for hat in product(*axes):

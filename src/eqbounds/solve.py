@@ -128,19 +128,6 @@ def aberth_roots(
     return roots
 
 
-def univariate_roots(p: Polynomial) -> list[complex]:
-    """Roots of a polynomial whose support uses exactly one variable."""
-    support = p.support_vars()
-    if len(support) != 1:
-        raise ValueError(f"expected a univariate polynomial, support is {sorted(support)}")
-    var = support.pop()
-    deg = p.degree_in(var)
-    coeffs = [0j] * (deg + 1)
-    for m, c in p.terms.items():
-        coeffs[m[var]] += complex(c)
-    return aberth_roots(coeffs)
-
-
 def _cluster(roots: list[complex], tol: float) -> list[complex]:
     """Merge root clusters closer than tol; representatives are cluster means."""
     merged: list[list[complex]] = []

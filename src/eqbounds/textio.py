@@ -6,13 +6,15 @@ One equation per line, in the forms
     x<i> + x<j> = x<k>
     x<i> * x<j> = x<k>
 
-with arbitrary whitespace and ``#`` comments.  A file containing any
-multiplication equation parses to a PolySystem, otherwise to a
-LinSystem; the variable count is the largest index mentioned unless an
-explicit override is given.
+with arbitrary whitespace and ``#`` comments.  A file parses to a
+`linear.System`; the variable count is the largest index mentioned
+unless an explicit override is given.
 
 Witness files are ordinary system files whose solution and statistics
-ride along as comment lines, so they re-parse with the same grammar.
+ride along as comment lines, so they re-parse with the same grammar.  A
+linear witness carries one exact ``# solution:`` line; a polynomial
+witness carries complex ``# solution:`` lines, each followed by a
+``# residual:`` line.
 """
 
 from __future__ import annotations
@@ -23,8 +25,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .linalg import QVector, rational_to_text
-from .linear import Add, LinSystem, Unit
-from .polysys import Mul, PolyEquation, PolySystem
+from .linear import Add, Equation, Mul, System, Unit
 from .solve import ComplexVector
 
 
@@ -56,7 +57,7 @@ def _tokenize(line: str, lineno: int) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _parse_line(line: str, lineno: int) -> PolyEquation | None:
+def _parse_line(line: str, lineno: int) -> Equation | None:
     code = line.split("#", 1)[0]
     tokens = _tokenize(code, lineno)
     if not tokens:
@@ -86,9 +87,9 @@ def _expected_shape(kinds: list[str]) -> list[str]:
     return ["var", "eq", "one"]
 
 
-def parse_system_text(text: str, n: int | None = None) -> LinSystem | PolySystem:
+def parse_system_text(text: str, n: int | None = None) -> System:
     """Parse a system; duplicates collapse, n defaults to the max index."""
-    equations: list[PolyEquation] = []
+    equations: list[Equation] = []
     for lineno, line in enumerate(text.splitlines(), start=1):
         eq = _parse_line(line, lineno)
         if eq is not None:
@@ -100,36 +101,34 @@ def parse_system_text(text: str, n: int | None = None) -> LinSystem | PolySystem
     inferred = n if n is not None else max(max_index, 1)
     if max_index > inferred:
         raise ParseError(0, 0, f"variable x{max_index} exceeds n = {inferred}")
-    if any(isinstance(eq, Mul) for eq in equations):
-        return PolySystem(inferred, equations)
-    return LinSystem(inferred, [eq for eq in equations if isinstance(eq, (Unit, Add))])
+    return System(inferred, equations)
 
 
-def parse_system_file(path: str | Path, n: int | None = None) -> LinSystem | PolySystem:
+def parse_system_file(path: str | Path, n: int | None = None) -> System:
     return parse_system_text(Path(path).read_text(), n=n)
 
 
-def equation_to_text(eq: PolyEquation) -> str:
+def equation_to_text(eq: Equation) -> str:
     if isinstance(eq, Unit):
         return f"x{eq.i} = 1"
     op = "+" if isinstance(eq, Add) else "*"
     return f"x{eq.i} {op} x{eq.j} = x{eq.k}"
 
 
-def system_to_text(s: LinSystem | PolySystem) -> str:
+def system_to_text(s: System) -> str:
     lines = [equation_to_text(eq) for eq in s.equations]
-    if isinstance(s, PolySystem) and s.fix_x1 and Unit(1) not in s.equations:
+    if s.fix_x1 and Unit(1) not in s.equations:
         lines.insert(0, equation_to_text(Unit(1)))
     return "\n".join(lines)
 
 
-def lin_witness_text(s: LinSystem, x: Sequence[Fraction], note: str) -> str:
+def lin_witness_text(s: System, x: Sequence[Fraction], note: str) -> str:
     body = system_to_text(s)
     sol = " ".join(rational_to_text(Fraction(v)) for v in x)
     return f"# {note}\n{body}\n# solution: {sol}\n"
 
 
-def poly_witness_text(s: PolySystem, solutions: Sequence[ComplexVector], note: str) -> str:
+def poly_witness_text(s: System, solutions: Sequence[ComplexVector], note: str) -> str:
     lines = [f"# {note}", system_to_text(s)]
     for sol in solutions:
         coords = " ".join(f"{z.real:.17g} {z.imag:.17g}" for z in sol.entries)
@@ -139,10 +138,12 @@ def poly_witness_text(s: PolySystem, solutions: Sequence[ComplexVector], note: s
 
 
 def parse_witness_solution(text: str) -> QVector | None:
-    """Recover the exact solution comment from a linear witness file."""
-    for line in text.splitlines():
-        stripped = line.strip()
-        if stripped.startswith("# solution:"):
-            parts = stripped.removeprefix("# solution:").split()
-            return tuple(Fraction(p) for p in parts)
+    """Recover the exact solution comment from a linear witness file;
+    None for a witness without one and for a polynomial witness."""
+    lines = [line.strip() for line in text.splitlines()]
+    if any(line.startswith("# residual:") for line in lines):
+        return None
+    for line in lines:
+        if line.startswith("# solution:"):
+            return tuple(Fraction(p) for p in line.removeprefix("# solution:").split())
     return None

@@ -23,7 +23,7 @@ from eqbounds.linalg import (
 from eqbounds.linear import (
     Add,
     ExhaustiveScan,
-    LinSystem,
+    System,
     Unit,
     check_bound_pow2,
     conj2_check,
@@ -101,7 +101,7 @@ def test_criterion_1_conj3_exhaustive_n5(tmp_path):
 
 def test_criterion_2_doubling_chain_tightness():
     n = 8
-    s = LinSystem(n, [Unit(1)] + [Add(i, i, i + 1) for i in range(1, n)])
+    s = System(n, [Unit(1)] + [Add(i, i, i + 1) for i in range(1, n)])
     enc = encode(s)
     x = solve_unique(enc.a, enc.b)
     expected = tuple(F(2) ** i for i in range(n))

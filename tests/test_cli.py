@@ -66,6 +66,28 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == 64
 
 
+@pytest.mark.parametrize("args, message", [
+    (["conj3", "--exhaustive", "--n", "6"], "eqbounds: exhaustive enumeration capped at n = 5"),
+    (["obs2", "--n", "5", "--iters", "1"], "eqbounds: hat search only supports n <= 4"),
+], ids=["conj3-cap", "obs2-precondition"])
+def test_driver_refusal_is_an_execution_error(args, message, tmp_path, capsys):
+    code, out, err = run_cli([*args, "--witness-dir", str(tmp_path)], capsys)
+    assert code == 1
+    assert out == ""
+    assert err == message + "\n"
+
+
+def test_negative_iters_is_a_usage_error(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["conjI", "--iters", "-1"])
+    assert exc.value.code == 64
+    assert "argument --iters: expected an integer >= 0, got '-1'" in capsys.readouterr().err
+    code, out, _ = run_cli(["conjI", "--iters", "0", "--json", "--witness-dir", str(tmp_path)],
+                           capsys)
+    assert code == 0
+    assert json.loads(out)["trials"]["attempted"] == 0
+
+
 def test_missing_command(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])

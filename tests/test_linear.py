@@ -10,9 +10,9 @@ from eqbounds.linear import (
     BoundVerdict,
     CapExceededError,
     ExhaustiveScan,
-    InconsistentSystemError,
-    LinSystem,
+    Mul,
     PreconditionError,
+    System,
     Unit,
     addition_row_pool,
     check_bound_pow2,
@@ -22,23 +22,17 @@ from eqbounds.linear import (
     conj3_stats,
     conj4_check,
     encode,
-    enlarge_to_unique,
     equation_pool,
     exhaustive_unique_systems,
-    expand_solution,
-    normalize_units,
     observation1_hat_search,
     random_card_le_n_system,
     random_unique_system,
     solves,
+    universe,
 )
 from eqbounds.rng import SplitMix64
 
 F = Fraction
-
-
-def doubling_chain(n):
-    return LinSystem(n, [Unit(1)] + [Add(i, i, i + 1) for i in range(1, n)])
 
 
 def test_add_canonical_order():
@@ -46,25 +40,52 @@ def test_add_canonical_order():
     assert Add(3, 1, 2).i == 1 and Add(3, 1, 2).j == 3
 
 
-def test_linsystem_rejects_bad_indices_and_dedupes():
+def test_system_rejects_bad_indices_and_dedupes():
     with pytest.raises(ValueError):
-        LinSystem(2, [Unit(3)])
-    s = LinSystem(2, [Unit(1), Unit(1), Add(1, 2, 2), Add(2, 1, 2)])
-    assert s.equations == (Unit(1), Add(1, 2, 2))
+        System(2, [Unit(3)])
+    with pytest.raises(ValueError):
+        System(2, [Mul(1, 3, 2)])
+    s = System(2, [Unit(1), Unit(1), Add(1, 2, 2), Add(2, 1, 2), Mul(2, 1, 2)])
+    assert s.equations == (Unit(1), Add(1, 2, 2), Mul(1, 2, 2))
+    assert s.unknowns == 2 and System(2, [], fix_x1=True).unknowns == 1
+
+
+def test_solves_reads_each_operation():
+    s = System(3, [Unit(1), Add(1, 1, 2), Mul(2, 2, 3)])
+    assert solves(s, qvec([1, 2, 4]))
+    assert not solves(s, qvec([1, 2, 3]))  # 2 * 2 != 3
+    assert not solves(s, qvec([1, 3, 9]))  # 1 + 1 != 3
+    assert not solves(s, qvec([2, 4, 16]))  # x1 != 1
+    # 1 * 5 = 5 holds where 1 + 5 = 5 would not
+    assert solves(System(2, [Mul(1, 2, 2)]), qvec([1, 5]))
+
+
+def test_universe_order_and_size():
+    # units, then additions, then multiplications, each in index order
+    assert universe(2) == [
+        Unit(1), Unit(2),
+        Add(1, 1, 1), Add(1, 1, 2), Add(1, 2, 1), Add(1, 2, 2), Add(2, 2, 1), Add(2, 2, 2),
+        Mul(1, 1, 1), Mul(1, 1, 2), Mul(1, 2, 1), Mul(1, 2, 2), Mul(2, 2, 1), Mul(2, 2, 2),
+    ]
+    for n in (1, 3, 4):
+        assert len(universe(n)) == n + n * n * (n + 1) == len(set(universe(n)))
 
 
 def test_encode_examples():
-    enc = encode(LinSystem(2, [Unit(1), Add(1, 1, 2)]))
+    enc = encode(System(2, [Unit(1), Add(1, 1, 2)]))
     assert enc.a == QMatrix([[1, 0], [2, -1]])
     assert enc.b == qvec([1, 0])
 
-    enc = encode(LinSystem(2, [Add(1, 2, 1)]))
+    enc = encode(System(2, [Add(1, 2, 1)]))
     assert enc.a == QMatrix([[0, 1]])
     assert enc.b == qvec([0])
 
-    enc = encode(LinSystem(1, [Add(1, 1, 1)]))
+    enc = encode(System(1, [Add(1, 1, 1)]))
     assert enc.a == QMatrix([[1]])
     assert enc.b == qvec([0])
+
+    with pytest.raises(ValueError):
+        encode(System(2, [Unit(1), Mul(1, 1, 2)]))
 
 
 def test_encode_entries_in_range():
@@ -72,75 +93,8 @@ def test_encode_entries_in_range():
     for _ in range(200):
         n = rng.randint(1, 5)
         eq = Add(rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
-        enc = encode(LinSystem(n, [eq]))
+        enc = encode(System(n, [eq]))
         assert all(v in (-1, 0, 1, 2) for v in enc.a.row(0))
-
-
-def test_normalize_units_merge_and_permute():
-    s = LinSystem(3, [Unit(2), Unit(3), Add(2, 3, 1)])
-    reduced, mapping = normalize_units(s)
-    assert reduced.n == 2
-    assert reduced.equations == (Unit(1), Add(1, 1, 2))
-    assert mapping == {1: 2, 2: 1, 3: 1}
-    # solvability transfers through the mapping
-    y = qvec([1, 2])
-    assert solves(reduced, y)
-    assert solves(s, expand_solution(y, mapping))
-
-
-def test_normalize_units_no_units_unchanged():
-    s = LinSystem(3, [Add(1, 2, 3)])
-    reduced, mapping = normalize_units(s)
-    assert reduced == s
-    assert mapping == {1: 1, 2: 2, 3: 3}
-    assert solves(s, qvec([0, 0, 0]))
-
-
-def test_normalize_units_single_unit_unchanged():
-    s = LinSystem(1, [Unit(1)])
-    reduced, mapping = normalize_units(s)
-    assert reduced == s and mapping == {1: 1}
-
-
-def test_enlarge_to_unique():
-    enlarged = enlarge_to_unique(LinSystem(2, [Unit(1)]))
-    assert Add(2, 2, 2) in enlarged.equations
-    enc = encode(enlarged)
-    assert rank(enc.a) == 2
-    from eqbounds.linalg import solve_unique
-
-    assert solve_unique(QMatrix([enc.a.row(0), enc.a.row(1)]), enc.b) == qvec([1, 0])
-
-    already = doubling_chain(3)
-    assert enlarge_to_unique(already) == already
-
-    empty = LinSystem(1, [])
-    assert enlarge_to_unique(empty).equations == (Add(1, 1, 1),)
-
-    with pytest.raises(InconsistentSystemError):
-        enlarge_to_unique(LinSystem(1, [Unit(1), Add(1, 1, 1)]))
-
-
-def test_enlarge_preserves_original_solutions():
-    rng = SplitMix64(77)
-    for _ in range(50):
-        s = random_partial_system(rng, 4)
-        enc = encode(s)
-        if not is_consistent(enc.a, enc.b):
-            continue
-        enlarged = enlarge_to_unique(s)
-        enc2 = encode(enlarged)
-        assert rank(enc2.a) == s.n
-        x = min_norm_solution(enc2.a, enc2.b)
-        assert solves(enlarged, x)
-        assert solves(s, x)
-
-
-def random_partial_system(rng, n):
-    eqs = [Unit(1)]
-    for _ in range(rng.randint(0, n)):
-        eqs.append(Add(rng.randint(1, n), rng.randint(1, n), rng.randint(1, n)))
-    return LinSystem(n, eqs)
 
 
 def test_random_unique_system():
@@ -163,9 +117,9 @@ def test_random_unique_system_keeps_exactly_rank_raising_rows():
         for seed in range(25):
             rng = SplitMix64(seed)
             kept = [Unit(1)]
-            while rank(encode(LinSystem(n, kept)).a) < n:
+            while rank(encode(System(n, kept)).a) < n:
                 eq = Add(rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
-                if rank(encode(LinSystem(n, kept + [eq])).a) > len(kept):
+                if rank(encode(System(n, kept + [eq])).a) > len(kept):
                     kept.append(eq)
             assert random_unique_system(n, SplitMix64(seed)).equations == tuple(kept)
 
@@ -217,7 +171,7 @@ def test_equation_pool_matches_encoding_dedup():
         ]
         seen, expected = set(), []
         for eq in universe:
-            enc = encode(LinSystem(n, [eq]))
+            enc = encode(System(n, [eq]))
             key = (tuple(enc.a.row(0)), enc.b[0])
             if key not in seen:
                 seen.add(key)
@@ -237,14 +191,14 @@ def test_exhaustive_n2_full_enumeration_oracle():
 
 def test_exhaustive_yields_satisfy_system():
     for eqs, sol in exhaustive_unique_systems(3):
-        enc = encode(LinSystem(3, eqs))
+        enc = encode(System(3, eqs))
         assert enc.a @ sol == enc.b
 
 
 def test_exhaustive_solutions_match_rational_solver():
     for n in (3, 4):
         for eqs, sol in exhaustive_unique_systems(n):
-            enc = encode(LinSystem(n, eqs))
+            enc = encode(System(n, eqs))
             assert sol == solve_unique(enc.a, enc.b)
 
 
@@ -334,13 +288,13 @@ def test_conj2_check_examples():
 
 
 def test_observation1_examples():
-    s = LinSystem(2, [Unit(1), Add(1, 1, 2)])
+    s = System(2, [Unit(1), Add(1, 1, 2)])
     assert observation1_hat_search(s, qvec([1, 2])) == qvec([1, 2])
 
-    empty = LinSystem(1, [])
+    empty = System(1, [])
     assert observation1_hat_search(empty, qvec([7])) == qvec([0])
 
-    s = LinSystem(3, [Add(1, 2, 3)])
+    s = System(3, [Add(1, 2, 3)])
     hat = observation1_hat_search(s, qvec([3, -3, 0]))
     assert hat is not None and solves(s, hat)
     grid = {qvec([3, -3, 0])[i] for i in range(3)} | {F(0), F(1), F(2), F(1, 2)}
@@ -349,9 +303,9 @@ def test_observation1_examples():
 
 def test_observation1_preconditions():
     with pytest.raises(PreconditionError):
-        observation1_hat_search(LinSystem(5, []), qvec([0] * 5))
+        observation1_hat_search(System(5, []), qvec([0] * 5))
     with pytest.raises(PreconditionError):
-        observation1_hat_search(LinSystem(2, [Unit(1)]), qvec([0, 0]))
+        observation1_hat_search(System(2, [Unit(1)]), qvec([0, 0]))
 
 
 def test_generated_solutions_pass_proven_bound():
@@ -365,26 +319,6 @@ def test_generated_solutions_pass_proven_bound():
         assert check_bound_sqrt5(x, 4).passed
 
 
-def test_normalize_units_solvability_random():
-    rng = SplitMix64(246)
-    for _ in range(80):
-        n = rng.randint(2, 4)
-        eqs = []
-        for _ in range(rng.randint(1, 5)):
-            if rng.randint(0, 3) == 0:
-                eqs.append(Unit(rng.randint(1, n)))
-            else:
-                eqs.append(Add(rng.randint(1, n), rng.randint(1, n), rng.randint(1, n)))
-        s = LinSystem(n, eqs)
-        reduced, mapping = normalize_units(s)
-        enc = encode(reduced)
-        if not is_consistent(enc.a, enc.b):
-            continue
-        y = min_norm_solution(enc.a, enc.b)
-        assert solves(reduced, y)
-        assert solves(s, expand_solution(y, mapping))
-
-
 def test_min_norm_solves_consistent_linear_systems():
     rng = SplitMix64(135)
     for _ in range(80):
@@ -395,36 +329,9 @@ def test_min_norm_solves_consistent_linear_systems():
                 eqs.append(Unit(rng.randint(1, n)))
             else:
                 eqs.append(Add(rng.randint(1, n), rng.randint(1, n), rng.randint(1, n)))
-        s = LinSystem(n, eqs)
+        s = System(n, eqs)
         enc = encode(s)
         if not is_consistent(enc.a, enc.b):
             continue
         x = min_norm_solution(enc.a, enc.b)
         assert solves(s, x)
-
-
-def test_reduction_pipeline_normalize_then_enlarge():
-    # merge units, pin free variables, solve: the lifted solution solves the
-    # original system
-    rng = SplitMix64(864)
-    from eqbounds.linalg import solve_unique
-
-    checked = 0
-    while checked < 40:
-        n = rng.randint(2, 4)
-        eqs = [Unit(rng.randint(1, n))]
-        for _ in range(rng.randint(0, 4)):
-            eqs.append(Add(rng.randint(1, n), rng.randint(1, n), rng.randint(1, n)))
-        s = LinSystem(n, eqs)
-        enc = encode(s)
-        if not is_consistent(enc.a, enc.b):
-            continue
-        reduced, mapping = normalize_units(s)
-        enlarged = enlarge_to_unique(reduced)
-        enc2 = encode(enlarged)
-        assert rank(enc2.a) == enlarged.n
-        y = min_norm_solution(enc2.a, enc2.b)
-        assert solves(enlarged, y)
-        assert solves(reduced, y)
-        assert solves(s, expand_solution(y, mapping))
-        checked += 1

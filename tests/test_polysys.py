@@ -2,15 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from eqbounds.linear import Add, Unit
+from eqbounds.linear import Add, Mul, System, Unit, universe
 from eqbounds.poly import Classification, MonomialOrder, Polynomial
 from eqbounds.polysys import (
     CandidatePool,
     InconsistentInputError,
-    Mul,
-    PolySystem,
     PreconditionError,
-    all_equations,
     check_bound_double_exp,
     double_exp_bound,
     equation_polynomial,
@@ -46,21 +43,21 @@ def test_mul_canonical():
 def test_to_polynomials_examples():
     order, (x2,) = lexp(1)
     # x1*x1 = x2 with x1 fixed to 1 reads 1 - x2
-    s = PolySystem(2, [Mul(1, 1, 2)], fix_x1=True)
+    s = System(2, [Mul(1, 1, 2)], fix_x1=True)
     polys = to_polynomials(s, order)
     assert polys == [Polynomial.constant(1, 1, order) - x2]
 
     order3, (v1, v2, v3) = lexp(3)
-    s = PolySystem(3, [Add(2, 2, 3)])
+    s = System(3, [Add(2, 2, 3)])
     assert to_polynomials(s, order3) == [v2 + v2 - v3]
 
-    s = PolySystem(3, [Add(2, 2, 3), Add(2, 2, 3)])
+    s = System(3, [Add(2, 2, 3), Add(2, 2, 3)])
     assert len(to_polynomials(s, order3)) == 1
 
 
 def test_to_polynomials_drops_trivial_zero():
     # x1*x1 = x1 with x1 fixed: 1 - 1 = 0
-    s = PolySystem(1, [Mul(1, 1, 1)], fix_x1=True)
+    s = System(1, [Mul(1, 1, 1)], fix_x1=True)
     assert to_polynomials(s) == []
 
 
@@ -194,7 +191,7 @@ def test_real_solutions_filter():
 
 
 def test_is_maximal_consistent_unit_only():
-    s = PolySystem(1, [Unit(1)])
+    s = System(1, [Unit(1)])
     maximal, extensions = is_maximal_consistent(s)
     assert not maximal
     assert Mul(1, 1, 1) in extensions  # x1^2 = x1 holds at x1 = 1
@@ -206,28 +203,28 @@ def test_is_maximal_consistent_full_point():
     n = 2
     point = (1 + 0j, 2 + 0j)
     sat = []
-    for eq in all_equations(n):
+    for eq in universe(n):
         p = equation_polynomial(eq, n, False)
         if abs(p.evaluate(point)) < 1e-12:
             sat.append(eq)
-    s = PolySystem(n, sat)
+    s = System(n, sat)
     maximal, extensions = is_maximal_consistent(s)
     assert maximal and extensions == []
 
 
 def test_is_maximal_consistent_rejects_inconsistent():
-    s = PolySystem(1, [Unit(1), Add(1, 1, 1)])
+    s = System(1, [Unit(1), Add(1, 1, 1)])
     with pytest.raises(InconsistentInputError):
         is_maximal_consistent(s)
 
 
 def test_observation2_examples():
     # single unit keeps its solution
-    s = PolySystem(1, [Unit(1)])
+    s = System(1, [Unit(1)])
     assert observation2_hat_search(s, (1 + 0j,)) == (1 + 0j,)
 
     # homogeneous system admits the zero tuple
-    s = PolySystem(2, [Add(1, 1, 2)])
+    s = System(2, [Add(1, 1, 2)])
     hat = observation2_hat_search(s, (3 + 0j, 6 + 0j))
     assert hat is not None
     polys = to_polynomials(s)
@@ -235,16 +232,16 @@ def test_observation2_examples():
 
     # extremal chain solution (2, 4, 16, 256): 256 exceeds the bound 16, the
     # zero tuple is the replacement
-    s = PolySystem(4, [Add(1, 1, 2), Mul(1, 1, 2), Mul(2, 2, 3), Mul(3, 3, 4)])
+    s = System(4, [Add(1, 1, 2), Mul(1, 1, 2), Mul(2, 2, 3), Mul(3, 3, 4)])
     hat = observation2_hat_search(s, (2, 4, 16, 256))
     assert hat == (0j, 0j, 0j, 0j)
 
 
 def test_observation2_preconditions():
     with pytest.raises(PreconditionError):
-        observation2_hat_search(PolySystem(5, []), (0j,) * 5)
+        observation2_hat_search(System(5, []), (0j,) * 5)
     with pytest.raises(PreconditionError):
-        observation2_hat_search(PolySystem(1, [Unit(1)]), (3 + 0j,))
+        observation2_hat_search(System(1, [Unit(1)]), (3 + 0j,))
 
 
 def test_greedy_trace_replays_consistently():

@@ -12,7 +12,6 @@ from eqbounds.poly import (
 from eqbounds.solve import (
     aberth_roots,
     solve_zero_dim,
-    univariate_roots,
 )
 
 
@@ -52,15 +51,6 @@ def test_aberth_larger():
     coeffs = [-1] + [0] * 7 + [1]
     expected = [cmath.exp(2j * cmath.pi * k / 8) for k in range(8)]
     assert_root_set(aberth_roots(coeffs), expected, tol=1e-7)
-
-
-def test_univariate_roots_polynomial_interface():
-    order, (x,) = lexvars(1)
-    p = x * x - cpoly(2, 1, order)
-    roots = univariate_roots(p)
-    assert_root_set(roots, [2**0.5, -(2**0.5)], tol=1e-10)
-    with pytest.raises(ValueError):
-        univariate_roots(cpoly(3, 1, order))
 
 
 def test_solve_linear_point():
