@@ -14,7 +14,7 @@ from .drivers import (
     run_obs2,
 )
 from .linalg import det_bareiss, pseudoinverse, solve_cramer
-from .linear import Add, Mul, System, Unit, conj2_check
+from .linear import Add, Mul, System, Unit
 from .poly import normal_form, standard_monomial_count
 from .solve import solve_zero_dim
 from .textio import parse_system_file, parse_system_text, parse_witness_solution
@@ -28,7 +28,6 @@ __all__ = [
     "Mul",
     "System",
     "Unit",
-    "conj2_check",
     "det_bareiss",
     "normal_form",
     "parse_system_file",

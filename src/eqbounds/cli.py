@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 from functools import cache
@@ -203,16 +204,25 @@ def main(argv: list[str] | None = None) -> int:
             linear = not any(isinstance(eq, Mul) for eq in system.equations)
             solve = _solve_linear if linear else _solve_poly
             payload, lines = solve(system)
-            print(json.dumps(payload, indent=2) if as_json else "\n".join(lines))
-            return 0
-        if command == "obs1" and options["exhaustive"] is None:
-            options["exhaustive"] = options["n"] <= 3
-        report = getattr(drivers, f"run_{command}")(**options)
-        print(report.to_json() if as_json else report.to_text())
-        return report.exit_code
+            code = 0
+            text = json.dumps(payload, indent=2) if as_json else "\n".join(lines)
+        else:
+            if command == "obs1" and options["exhaustive"] is None:
+                options["exhaustive"] = options["n"] <= 3
+            report = getattr(drivers, f"run_{command}")(**options)
+            code = report.exit_code
+            text = report.to_json() if as_json else report.to_text()
+        print(text)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader left early; the run itself is complete.  Point fd 1 at
+        # devnull so the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return code
     except (ParseError, ValueError, OSError) as exc:
         print(f"eqbounds: {exc}", file=sys.stderr)
         return 1
+    return code
 
 
 if __name__ == "__main__":

@@ -1,7 +1,7 @@
 """Batch drivers: one per experiment, each returning a Report.
 
 Every driver runs seed -> trial -> check -> witness -> report; `_Run`,
-`_seeded`, `_chunked`, `_unique_trial` and `_saturated` hold those steps.
+`_seeded`, `_chunked` and `_saturated` hold those steps.
 Every randomized driver derives an independent child seed per trial, so
 results do not depend on scheduling; thread pools only spread the work.
 Witness files are content-addressed (sha1 of the body), which keeps
@@ -25,7 +25,6 @@ from .linalg import (
     pseudoinverse,
     rational_to_text,
     rref,
-    solve_unique,
     transpose,
 )
 from .linear import (
@@ -161,13 +160,6 @@ def _exhaustive_run(command: str, n: int, seed: int, comb_range: tuple[int, int]
     return _Run(command, config, witness_dir), lo, hi
 
 
-def _unique_trial(n: int, rng: SplitMix64):
-    """A random unique-solution system with its exact solution."""
-    s = random_unique_system(n, rng)
-    enc = encode(s)
-    return s, solve_unique(enc.a, enc.b)
-
-
 def _saturated(run: _Run, n: int, pool_variant: str, iters: int, seed: int, threads: int,
                maximal_witness: bool = False) -> Iterator[tuple[int, TrialOutcome]]:
     """Greedy saturation trials; yields (t, outcome) for zero-dimensional ones.
@@ -218,7 +210,7 @@ def run_conjI(
     run = _Run("conjI", _random_config(n, iters, seed), witness_dir)
 
     def trial(t: int, rng: SplitMix64):
-        s, x = _unique_trial(n, rng)
+        s, x = random_unique_system(n, rng)
         if not check_bound_sqrt5(x, n).passed:
             raise AssertionError(
                 f"proven root-5 bound violated at trial {t}: solver bug"
@@ -280,7 +272,7 @@ def run_conj4(
     run = _Run("conj4", _random_config(n, iters, seed), witness_dir)
 
     def trial(t: int, rng: SplitMix64):
-        s, x = _unique_trial(n, rng)
+        s, x = random_unique_system(n, rng)
         ratio, ok = conj4_check(x)
         if ok:
             return ratio, ()
@@ -330,7 +322,7 @@ def run_conj3(
         run = _Run("conj3", _random_config(n, iters, seed), witness_dir)
 
         def trial(t: int, rng: SplitMix64):
-            s, x = _unique_trial(n, rng)
+            s, x = random_unique_system(n, rng)
             num, den = conj3_stats(x)
             if num <= bound and den <= bound:
                 return (num, den), ()
@@ -567,7 +559,7 @@ def run_obs1(
         run = _Run("obs1", _random_config(n, iters, seed), witness_dir)
 
         def trial(t: int, rng: SplitMix64):
-            s, x = _unique_trial(n, rng)
+            s, x = random_unique_system(n, rng)
             if observation1_hat_search(s, x) is not None:
                 return None, ()
             return None, (lin_witness_text(s, x, "hat replacement failed"),)

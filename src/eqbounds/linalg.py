@@ -69,19 +69,11 @@ class QMatrix:
         self._e = grid
 
     @classmethod
-    def identity(cls, n: int) -> "QMatrix":
-        one, zero = Fraction(1), Fraction(0)
-        return cls([[one if i == j else zero for j in range(n)] for i in range(n)])
-
-    @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
         return cls([[0] * cols for _ in range(rows)], cols=cols)
 
     def row(self, i: int) -> QVector:
         return self._e[i]
-
-    def column(self, j: int) -> QVector:
-        return tuple(r[j] for r in self._e)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self._e[i][j]
@@ -253,25 +245,6 @@ def det_bareiss(m: QMatrix) -> Fraction:
     return Fraction(_det_bareiss_int(grid), scale)
 
 
-def max_abs_maximal_minor(rows: Sequence[Sequence[Scalar]]) -> Fraction:
-    """Largest |det| over the n minors of an (n-1) x n matrix that delete
-    one column, exact.
-
-    Rows with non-integer entries are cleared to integers as in
-    det_bareiss; every minor contains every row, so the result is
-    rescaled by the product of the row factors.
-    """
-    if not rows:
-        raise DimensionMismatchError("need at least one row")
-    n = len(rows[0])
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatchError("ragged rows")
-    if len(rows) != n - 1:
-        raise DimensionMismatchError(f"expected {n - 1} rows of width {n}, got {len(rows)}")
-    grid, scale = _integer_rows(rows)
-    return Fraction(_max_abs_maximal_minor_int(grid), scale)
-
-
 def inverse(a: QMatrix) -> QMatrix:
     """Exact inverse by Gauss-Jordan; raises SingularMatrixError."""
     if a.rows != a.cols:
@@ -292,17 +265,9 @@ def inverse(a: QMatrix) -> QMatrix:
     return QMatrix([row[n:] for row in aug], cols=n)
 
 
-def solve_unique(a: QMatrix, b: Sequence[Scalar]) -> QVector:
-    """Exact solution of a*x = b for square invertible a (inverse-multiply)."""
-    if a.rows != a.cols:
-        raise NonSquareError(f"solve with {a.shape} matrix")
-    if len(b) != a.rows:
-        raise DimensionMismatchError("right-hand side length mismatch")
-    return inverse(a) @ qvec(b)
-
-
 def solve_cramer(a: QMatrix, b: Sequence[Scalar]) -> QVector:
-    """Same contract as solve_unique, each x_i a quotient of two determinants."""
+    """Exact solution of a*x = b for square invertible a, each x_i a
+    quotient of two determinants (Cramer)."""
     if a.rows != a.cols:
         raise NonSquareError(f"solve with {a.shape} matrix")
     if len(b) != a.rows:

@@ -25,12 +25,7 @@ from itertools import combinations, product
 from math import comb, gcd
 from typing import Iterable, Iterator, Sequence
 
-from .linalg import (
-    QMatrix,
-    QVector,
-    max_abs_maximal_minor,
-    qvec,
-)
+from .linalg import QMatrix, QVector, qvec
 from .rng import SplitMix64
 
 
@@ -231,11 +226,13 @@ class _Echelon:
 # ---------------------------------------------------------------------------
 # generators
 
-def random_unique_system(n: int, rng: SplitMix64) -> System:
-    """Unit equation on x_1 plus addition rows kept only when they raise rank.
+def random_unique_system(n: int, rng: SplitMix64) -> tuple[System, QVector]:
+    """Unit equation on x_1 plus addition rows kept only when they raise
+    rank, with the system's unique solution.
 
     Triples (i, j, k) are drawn uniformly from [1, n]^3 until the stack
-    under e_1 reaches rank n; the walk terminates with probability 1.
+    under e_1 reaches rank n; the walk terminates with probability 1.  The
+    solution is back-substituted from the echelon that accepted the rows.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -251,7 +248,7 @@ def random_unique_system(n: int, rng: SplitMix64) -> System:
         if entry is not None:
             ech.push(entry)
             eqs.append(eq)
-    return System(n, eqs)
+    return System(n, eqs), ech.back_substitute()
 
 
 def random_card_le_n_system(n: int, rng: SplitMix64, verbatim_rhs: bool = True) -> EncodedSystem:
@@ -333,7 +330,6 @@ def exhaustive_unique_systems(
     n: int,
     start: int | None = None,
     end: int | None = None,
-    cap: int = DEFAULT_EXHAUSTIVE_CAP,
     scan: ExhaustiveScan | None = None,
 ) -> Iterator[tuple[tuple[Equation, ...], QVector]]:
     """All rank-n stacks of n-1 pool rows under e_1, with their solutions.
@@ -351,8 +347,8 @@ def exhaustive_unique_systems(
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n > cap:
-        raise CapExceededError(f"exhaustive enumeration capped at n = {cap}")
+    if n > DEFAULT_EXHAUSTIVE_CAP:
+        raise CapExceededError(f"exhaustive enumeration capped at n = {DEFAULT_EXHAUSTIVE_CAP}")
     pool = addition_row_pool(n)
     p = len(pool)
     slots = n - 1
@@ -483,16 +479,6 @@ def conj2_rows(n: int) -> list[tuple[int, ...]]:
                 seen.add(key)
                 rows.append(key)
     return rows
-
-
-def conj2_check(rows: Sequence[Sequence[int | Fraction]]) -> tuple[Fraction, bool]:
-    """Max |det| over the n minors obtained by deleting one column.
-
-    Expects n-1 rows of width n; verdict passes iff the maximum is
-    <= 2^(n-1) (exact).
-    """
-    best = max_abs_maximal_minor(rows)
-    return best, best <= Fraction(2) ** len(rows)
 
 
 HAT_CONSTANTS = (Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2))

@@ -29,30 +29,26 @@ class NotZeroDimensionalError(Exception):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Total multiplicative monomial order: lex or grevlex, with a
-    variable permutation giving the priority sequence (default x1 > x2 > ...)."""
+    """Total multiplicative monomial order, lex or grevlex, with
+    x1 > x2 > ... > xn."""
 
     kind: str  # "lex" | "grevlex"
-    perm: tuple[int, ...]
+    nvars: int
 
     @classmethod
-    def lex(cls, nvars: int, perm: Sequence[int] | None = None) -> "MonomialOrder":
-        return cls("lex", tuple(perm) if perm is not None else tuple(range(nvars)))
+    def lex(cls, nvars: int) -> "MonomialOrder":
+        return cls("lex", nvars)
 
     @classmethod
-    def grevlex(cls, nvars: int, perm: Sequence[int] | None = None) -> "MonomialOrder":
-        return cls("grevlex", tuple(perm) if perm is not None else tuple(range(nvars)))
-
-    @property
-    def nvars(self) -> int:
-        return len(self.perm)
+    def grevlex(cls, nvars: int) -> "MonomialOrder":
+        return cls("grevlex", nvars)
 
     def key(self, m: Monomial):
         """Sort key; larger key means larger monomial."""
         if self.kind == "lex":
-            return tuple(m[p] for p in self.perm)
+            return m
         total = sum(m)
-        return (total, tuple(-m[p] for p in reversed(self.perm)))
+        return (total, tuple(-e for e in reversed(m)))
 
 
 def monomial_mul(a: Monomial, b: Monomial) -> Monomial:
@@ -152,12 +148,6 @@ class Polynomial:
                 else:
                     out.pop(m, None)
         return Polynomial(out, self.nvars, self.order)
-
-    def scale(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial.zero(self.nvars, self.order)
-        return Polynomial({m: c * v for m, v in self.terms.items()}, self.nvars, self.order)
 
     def term_mul(self, coeff: Fraction, mono: Monomial) -> "Polynomial":
         if coeff == 0:

@@ -33,7 +33,7 @@ from .poly import (
     classify_dimension,
 )
 from .rng import SplitMix64
-from .solve import ComplexVector, solve_zero_dim
+from .solve import RESIDUAL_TOL, ComplexVector, solve_zero_dim
 
 
 class InconsistentInputError(Exception):
@@ -106,9 +106,6 @@ class CandidatePool:
     variant: str
     candidates: tuple[PoolCandidate, ...]
 
-    def polynomials(self) -> list[Polynomial]:
-        return [c.poly for c in self.candidates]
-
 
 def full_pool(n: int, variant: str) -> CandidatePool:
     """Duplicate-free candidate generators for greedy saturation.
@@ -161,16 +158,14 @@ class TrialOutcome:
     append_trace: tuple[int, ...]  # pool indices in append order
 
 
-def minimal_norm_indices(
-    solutions: Sequence[ComplexVector], tie_tol: float = 1e-9
-) -> tuple[int, ...]:
+def minimal_norm_indices(solutions: Sequence[ComplexVector]) -> tuple[int, ...]:
     """Indices of the solutions minimizing the squared Euclidean norm;
-    values within tie_tol of the minimum are all returned."""
+    values within 1e-9 of the minimum are all returned."""
     if not solutions:
         return ()
     norms = [sum(abs(z) ** 2 for z in sol.entries) for sol in solutions]
     lowest = min(norms)
-    return tuple(i for i, v in enumerate(norms) if v <= lowest + tie_tol)
+    return tuple(i for i, v in enumerate(norms) if v <= lowest + 1e-9)
 
 
 def greedy_saturate(pool: CandidatePool, rng: SplitMix64) -> TrialOutcome:
@@ -255,21 +250,17 @@ def double_exp_bound(n: int, exponent: str) -> float:
     return float(2 ** (2**power))
 
 
-def check_bound_double_exp(
-    outcome: TrialOutcome, n: int, exponent: str, tol: float = 1e-6
-) -> bool:
+def check_bound_double_exp(outcome: TrialOutcome, n: int, exponent: str) -> bool:
     """Pass iff every solution coordinate modulus is within the bound
-    (boundary-equal counts as pass; tol absorbs numeric fuzz)."""
-    return outcome.max_abs_coordinate <= double_exp_bound(n, exponent) + tol
+    (boundary-equal counts as pass; 1e-6 absorbs numeric fuzz)."""
+    return outcome.max_abs_coordinate <= double_exp_bound(n, exponent) + 1e-6
 
 
-def real_solutions(
-    solutions: Sequence[ComplexVector], tol: float = 1e-8
-) -> tuple[ComplexVector, ...]:
-    """Subset of solutions whose coordinates are all numerically real;
-    entries and residuals are passed through unchanged."""
+def real_solutions(solutions: Sequence[ComplexVector]) -> tuple[ComplexVector, ...]:
+    """Subset of solutions whose coordinates are all numerically real
+    (|imaginary part| < 1e-8); entries and residuals pass through unchanged."""
     return tuple(
-        sol for sol in solutions if all(abs(z.imag) < tol for z in sol.entries)
+        sol for sol in solutions if all(abs(z.imag) < 1e-8 for z in sol.entries)
     )
 
 
@@ -311,17 +302,12 @@ def is_maximal_consistent(s: System) -> tuple[bool, list[Equation]]:
     return not extensions, extensions
 
 
-def observation2_hat_search(
-    s: System,
-    x: Sequence[complex],
-    residual_tol: float = 1e-8,
-    bound_tol: float = 1e-6,
-) -> tuple[complex, ...] | None:
+def observation2_hat_search(s: System, x: Sequence[complex]) -> tuple[complex, ...] | None:
     """Search the per-coordinate grid {x_i, 0, 1, 2, 1/2} for a solution
     whose coordinates all stay within 2^(2^(n-2)).
 
     Candidates keep x_i first, then the constants; the first grid point
-    with residual below tolerance is returned.  None at n <= 4 refutes
+    with residual below RESIDUAL_TOL is returned.  None at n <= 4 refutes
     the replacement claim and must be treated as a hard failure.
     """
     if s.n > 4:
@@ -331,13 +317,13 @@ def observation2_hat_search(
     if len(xs) != nv:
         raise PreconditionError(f"expected {nv} coordinates, got {len(xs)}")
     polys = to_polynomials(s)
-    if polys and max(abs(p.evaluate(xs)) for p in polys) > residual_tol:
+    if polys and max(abs(p.evaluate(xs)) for p in polys) > RESIDUAL_TOL:
         raise PreconditionError("x does not solve the system")
     constants = [complex(c) for c in HAT_CONSTANTS]
-    axes = hat_axes(xs, constants, double_exp_bound(s.n, "n_minus_2") + bound_tol)
+    axes = hat_axes(xs, constants, double_exp_bound(s.n, "n_minus_2") + 1e-6)
     if nv == 0:
         return ()
     for hat in product(*axes):
-        if not polys or max(abs(p.evaluate(hat)) for p in polys) < residual_tol:
+        if not polys or max(abs(p.evaluate(hat)) for p in polys) < RESIDUAL_TOL:
             return hat
     return None

@@ -2,7 +2,7 @@
 
 All ideal-theoretic work (lex basis, dimension) stays exact; floating
 point enters only here, for root finding and Newton refinement.  The
-tolerances are configuration values:
+tolerances are module constants:
 
   * univariate roots are polished until |p(z)| < 1e-12 * max |coefficient|,
   * candidate roots are matched against the other specialized constraints
@@ -66,16 +66,12 @@ def _polyval(coeffs: Sequence[complex], z: complex) -> complex:
     return acc
 
 
-def aberth_roots(
-    coeffs: Sequence[complex],
-    max_iter: int = ROOT_MAX_ITER,
-    tol_factor: float = ROOT_TOL_FACTOR,
-) -> list[complex]:
+def aberth_roots(coeffs: Sequence[complex], max_iter: int = ROOT_MAX_ITER) -> list[complex]:
     """All complex roots (with multiplicity) of c0 + c1 z + ... + cd z^d.
 
     Simultaneous Aberth-Ehrlich iteration from perturbed circular
     starting points; each root is refined until |p(root)| drops below
-    ``tol_factor`` times the largest coefficient magnitude.  Raises
+    ROOT_TOL_FACTOR times the largest coefficient magnitude.  Raises
     IterationLimitError (carrying the current approximations) if some
     root is still above tolerance after ``max_iter`` sweeps.
     """
@@ -87,7 +83,7 @@ def aberth_roots(
         return []
     if d == 1:
         return [-cs[0] / cs[1]]
-    tol = tol_factor * max(abs(c) for c in cs)
+    tol = ROOT_TOL_FACTOR * max(abs(c) for c in cs)
     lead = cs[-1]
     monic = [c / lead for c in cs]
     deriv = [k * monic[k] for k in range(1, d + 1)]
@@ -160,22 +156,16 @@ def _specialize(
     return coeffs, scales
 
 
-def _effective_degree(coeffs: list[complex], scales: list[float], rel_tol: float = 1e-9) -> int:
+def _effective_degree(coeffs: list[complex], scales: list[float]) -> int:
     """Largest k whose coefficient is not numerical noise; -1 if none."""
     for k in range(len(coeffs) - 1, -1, -1):
-        if abs(coeffs[k]) > rel_tol * max(1.0, scales[k]):
+        if abs(coeffs[k]) > 1e-9 * max(1.0, scales[k]):
             return k
     return -1
 
 
 def solve_zero_dim(
-    gens: Sequence[Polynomial],
-    *,
-    residual_tol: float = RESIDUAL_TOL,
-    consistency_tol: float = CONSISTENCY_TOL,
-    dedup_tol: float = DEDUP_TOL,
-    newton_steps: int = NEWTON_MAX_STEPS,
-    warnings: list[str] | None = None,
+    gens: Sequence[Polynomial], *, warnings: list[str] | None = None
 ) -> list[ComplexVector]:
     """All complex solutions of a zero-dimensional system.
 
@@ -237,7 +227,7 @@ def solve_zero_dim(
                 if warnings is not None:
                     warnings.append("iteration_limit")
                 roots = exc.roots
-            roots = _cluster(roots, dedup_tol)
+            roots = _cluster(roots, DEDUP_TOL)
             for z in roots:
                 point = dict(tail)
                 point[var] = z
@@ -247,7 +237,7 @@ def solve_zero_dim(
                         continue
                     val = _polyval(coeffs, z)
                     scale = sum(abs(c) * abs(z) ** i for i, c in enumerate(coeffs))
-                    if abs(val) > consistency_tol * max(1.0, scale):
+                    if abs(val) > CONSISTENCY_TOL * max(1.0, scale):
                         ok = False
                         break
                 if ok:
@@ -261,7 +251,7 @@ def solve_zero_dim(
         z = np.array(point, dtype=complex)
         best = tuple(point)
         best_res = _residual(gens, best)
-        for _ in range(newton_steps):
+        for _ in range(NEWTON_MAX_STEPS):
             fv = np.array([g.evaluate(z) for g in gens], dtype=complex)
             res = float(max(abs(v) for v in fv))
             if res < 1e-14:
@@ -280,7 +270,7 @@ def solve_zero_dim(
                 best, best_res = cand, cand_res
             if float(np.max(np.abs(step))) < 1e-16:
                 break
-        if best_res < residual_tol:
+        if best_res < RESIDUAL_TOL:
             polished.append((best, best_res))
 
     polished.sort(key=lambda pr: tuple((v.real, v.imag) for v in pr[0]))
@@ -288,7 +278,7 @@ def solve_zero_dim(
     for cand, res in polished:
         dup = None
         for idx, (kept, _) in enumerate(unique):
-            if max(abs(a - b) for a, b in zip(cand, kept)) < dedup_tol:
+            if max(abs(a - b) for a, b in zip(cand, kept)) < DEDUP_TOL:
                 dup = idx
                 break
         if dup is None:

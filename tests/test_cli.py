@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -115,6 +116,24 @@ def test_console_entry_point(tmp_path):
     )
     assert result.returncode == 0
     assert "conj4: confirmed-at-scale" in result.stdout
+
+
+def test_closed_stdout_is_not_an_error(tmp_path):
+    # the reader is gone before the report is written, as under `| head`
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "eqbounds.cli", "conjI", "--n", "3", "--iters", "1",
+             "--json", "--witness-dir", str(tmp_path)],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert result.returncode == 0
+    assert result.stderr == ""
 
 
 def test_range_requires_exhaustive(capsys):

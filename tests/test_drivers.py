@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from eqbounds import drivers
-from eqbounds.linear import BoundVerdict, conj2_check, conj2_rows
+from eqbounds.linear import BoundVerdict, conj2_rows
 from eqbounds.report import CONFIRMED, decide_verdict
 from eqbounds.textio import parse_system_file, parse_witness_solution
 
@@ -48,14 +48,12 @@ def test_conj2_exhaustive_small(tmp_path):
     r = drivers.run_conj2(n=3, exhaustive=True, witness_dir=tmp_path)
     assert r.verdict == CONFIRMED
     assert int(r.statistic_value) == 4
-    # cross-check the driver's fast path against the exact checker
-    rows = conj2_rows(3)
-    best = Fraction(0)
+    # cross-check the driver's kernel against one determinant per deleted column
     from itertools import combinations
 
-    for combo in combinations(rows, 2):
-        value, _ = conj2_check(list(combo))
-        best = max(best, value)
+    from tests.test_linalg import max_minor_by_determinants
+
+    best = max(max_minor_by_determinants(combo) for combo in combinations(conj2_rows(3), 2))
     assert best == int(r.statistic_value)
 
 
@@ -94,6 +92,26 @@ def test_conj4_driver(tmp_path):
     r = drivers.run_conj4(n=4, iters=60, seed=4, witness_dir=tmp_path)
     assert r.verdict == CONFIRMED
     assert Fraction(r.statistic_value) <= 2
+
+
+def test_conj4_counterexample_at_n5(tmp_path):
+    # conj4 as stated fails at n = 5: a 25-trial run finds this system at
+    # trial 15, which also pins the generator's draws
+    from eqbounds.linalg import solve_cramer
+    from eqbounds.linear import Add, System, Unit, conj4_check, encode
+
+    s = System(5, [Unit(1), Add(1, 4, 2), Add(1, 3, 5), Add(1, 2, 3), Add(4, 4, 5)])
+    enc = encode(s)
+    x = solve_cramer(enc.a, enc.b)
+    assert x == (1, 4, 5, 3, 6)
+    assert conj4_check(x) == (3, False)
+    r = drivers.run_conj4(n=5, iters=25, seed=478163332, witness_dir=tmp_path)
+    assert r.exit_code == 2
+    assert [Path(p).read_text() for p in r.witnesses] == [
+        "# ratio violation at trial 15\n"
+        "x1 = 1\nx1 + x4 = x2\nx1 + x3 = x5\nx1 + x2 = x3\nx4 + x4 = x5\n"
+        "# solution: 1 4 5 3 6\n"
+    ]
 
 
 def test_conj5_variants(tmp_path):
@@ -144,20 +162,20 @@ def test_witness_file_round_trip(tmp_path):
     # force a violation by shrinking the bound: run a tiny conjI and write a
     # witness by hand through the sink, then re-solve it
     from eqbounds.drivers import WitnessSink
-    from eqbounds.linalg import solve_unique
+    from eqbounds.linalg import solve_cramer
     from eqbounds.linear import System, Unit, Add, encode
     from eqbounds.textio import lin_witness_text
 
     s = System(2, [Unit(1), Add(1, 1, 2)])
     enc = encode(s)
-    x = solve_unique(enc.a, enc.b)
+    x = solve_cramer(enc.a, enc.b)
     sink = WitnessSink(tmp_path)
     sink.add("demo", lin_witness_text(s, x, "round trip"))
     assert len(sink.paths) == 1
     reparsed = parse_system_file(sink.paths[0])
     assert reparsed == s
     enc2 = encode(reparsed)
-    assert solve_unique(enc2.a, enc2.b) == x
+    assert solve_cramer(enc2.a, enc2.b) == x
     from pathlib import Path
 
     assert parse_witness_solution(Path(sink.paths[0]).read_text()) == x

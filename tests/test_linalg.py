@@ -9,12 +9,10 @@ from eqbounds.linalg import (
     QMatrix,
     SingularMatrixError,
     ZeroMatrixError,
-    _det_bareiss_int,
     _max_abs_maximal_minor_int,
     det_bareiss,
     inverse,
     is_consistent,
-    max_abs_maximal_minor,
     min_norm_solution,
     pseudoinverse,
     qvec,
@@ -23,7 +21,6 @@ from eqbounds.linalg import (
     rational_to_text,
     rref,
     solve_cramer,
-    solve_unique,
     transpose,
 )
 from eqbounds.linear import conj2_rows
@@ -48,14 +45,18 @@ def det_cofactor(rows):
     return total
 
 
+def identity(n):
+    return QMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
 def random_small_matrix(rng, max_dim=4):
     n = rng.randint(1, max_dim)
     return [[rng.randint(-1, 2) for _ in range(n)] for _ in range(n)]
 
 
 def test_rref_identity():
-    reduced, pivots = rref(QMatrix.identity(3))
-    assert reduced == QMatrix.identity(3)
+    reduced, pivots = rref(identity(3))
+    assert reduced == identity(3)
     assert pivots == (0, 1, 2)
 
 
@@ -82,7 +83,7 @@ def test_rref_idempotent():
 
 def test_rank():
     assert rank(QMatrix.zeros(2, 3)) == 0
-    assert rank(QMatrix.identity(4)) == 4
+    assert rank(identity(4)) == 4
     # rows e1 and e1+e1-e2 over two columns: 2x2 determinant 2*(-1) != 0
     assert rank(QMatrix([[1, 0], [2, -1]])) == 2
 
@@ -107,10 +108,11 @@ def test_det_matches_cofactor_oracle():
 
 
 def max_minor_by_determinants(rows):
-    """Reference: one Bareiss determinant per deleted column."""
+    """Reference for the maximal-minor kernel: one Bareiss determinant per
+    deleted column, a different elimination from the kernel's."""
     n = len(rows[0])
     return max(
-        abs(_det_bareiss_int([[r[c] for c in range(n) if c != skip] for r in rows]))
+        abs(det_bareiss(QMatrix([[r[c] for c in range(n) if c != skip] for r in rows])))
         for skip in range(n)
     )
 
@@ -132,19 +134,16 @@ def test_maximal_minor_kernel_matches_determinants_on_conj2_stacks():
     assert deficient > 0
 
 
-def test_maximal_minor_kernel_rational_rows():
+def test_maximal_minor_kernel_integer_rows():
     rng = SplitMix64(7)
     for _ in range(300):
         width = rng.randint(2, 5)
-        rows = [[F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(width)]
-                for _ in range(width - 1)]
+        rows = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(width - 1)]
         expected = max(
             abs(det_cofactor([[r[c] for c in range(width) if c != skip] for r in rows]))
             for skip in range(width)
         )
-        assert max_abs_maximal_minor(rows) == expected
-    with pytest.raises(DimensionMismatchError):
-        max_abs_maximal_minor([[1, 0], [0, 1]])
+        assert _max_abs_maximal_minor_int(list(rows)) == expected
 
 
 def doubling_chain_matrix(n):
@@ -159,22 +158,22 @@ def doubling_chain_matrix(n):
     return QMatrix(rows), qvec(b)
 
 
-def test_solve_unique_doubling_chain():
+def test_solve_cramer_doubling_chain():
     a, b = doubling_chain_matrix(3)
-    assert solve_unique(a, b) == qvec([1, 2, 4])
+    assert solve_cramer(a, b) == qvec([1, 2, 4])
 
 
-def test_solve_unique_identity_and_forced_zero():
-    assert solve_unique(QMatrix.identity(3), [5, -1, F(1, 3)]) == qvec([5, -1, F(1, 3)])
+def test_solve_cramer_identity_and_forced_zero():
+    assert solve_cramer(identity(3), [5, -1, F(1, 3)]) == qvec([5, -1, F(1, 3)])
     # {x1 = 1, x1 + x2 = x1} encodes to [[1,0],[0,1]] with b = (1,0)
-    assert solve_unique(QMatrix([[1, 0], [0, 1]]), [1, 0]) == qvec([1, 0])
+    assert solve_cramer(QMatrix([[1, 0], [0, 1]]), [1, 0]) == qvec([1, 0])
 
 
-def test_solve_unique_singular():
-    with pytest.raises(SingularMatrixError):
-        solve_unique(QMatrix([[1, 1], [1, 1]]), [1, 1])
+def test_solve_cramer_singular():
     with pytest.raises(SingularMatrixError):
         solve_cramer(QMatrix([[1, 1], [1, 1]]), [1, 1])
+    with pytest.raises(SingularMatrixError):
+        inverse(QMatrix([[1, 1], [1, 1]]))
 
 
 def test_cramer_agrees_with_inverse_multiply():
@@ -186,13 +185,13 @@ def test_cramer_agrees_with_inverse_multiply():
         if det_bareiss(m) == 0:
             continue
         b = [rng.randint(-2, 2) for _ in range(m.rows)]
-        assert solve_cramer(m, b) == solve_unique(m, b)
+        assert solve_cramer(m, b) == inverse(m) @ qvec(b)
         checked += 1
 
 
 def test_rank_factorization():
-    f, g = rank_factorization(QMatrix.identity(3))
-    assert f == QMatrix.identity(3) and g == QMatrix.identity(3)
+    f, g = rank_factorization(identity(3))
+    assert f == identity(3) and g == identity(3)
     f, g = rank_factorization(QMatrix([[1, 1], [1, 1]]))
     assert f == QMatrix([[1], [1]]) and g == QMatrix([[1, 1]])
     f, g = rank_factorization(QMatrix([[1, 0], [0, 0]]))
@@ -223,7 +222,7 @@ def penrose_holds(a, x):
 
 
 def test_pseudoinverse_trivial_cases():
-    assert pseudoinverse(QMatrix.identity(4)) == QMatrix.identity(4)
+    assert pseudoinverse(identity(4)) == identity(4)
     assert pseudoinverse(QMatrix([[1, 1]])) == QMatrix([[F(1, 2)], [F(1, 2)]])
     assert pseudoinverse(QMatrix.zeros(2, 3)) == QMatrix.zeros(3, 2)
 
@@ -242,7 +241,7 @@ def test_min_norm_solution_examples():
     assert min_norm_solution(QMatrix([[1, 1]]), [1]) == qvec([F(1, 2), F(1, 2)])
     # consistent invertible system: agrees with the unique solution
     a, b = doubling_chain_matrix(4)
-    assert min_norm_solution(a, b) == solve_unique(a, b)
+    assert min_norm_solution(a, b) == solve_cramer(a, b)
     # inconsistent least-squares midpoint
     assert min_norm_solution(QMatrix([[1], [1]]), [0, 1]) == qvec([F(1, 2)])
     with pytest.raises(DimensionMismatchError):
@@ -316,5 +315,5 @@ def test_inverse_round_trip():
         m = QMatrix(rows)
         if det_bareiss(m) == 0:
             continue
-        assert m @ inverse(m) == QMatrix.identity(m.rows)
+        assert m @ inverse(m) == identity(m.rows)
         checked += 1

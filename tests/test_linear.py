@@ -4,7 +4,15 @@ from math import comb
 
 import pytest
 
-from eqbounds.linalg import QMatrix, is_consistent, min_norm_solution, qvec, rank, solve_unique
+from eqbounds.linalg import (
+    QMatrix,
+    _max_abs_maximal_minor_int,
+    is_consistent,
+    min_norm_solution,
+    qvec,
+    rank,
+    solve_cramer,
+)
 from eqbounds.linear import (
     Add,
     BoundVerdict,
@@ -17,7 +25,6 @@ from eqbounds.linear import (
     addition_row_pool,
     check_bound_pow2,
     check_bound_sqrt5,
-    conj2_check,
     conj2_rows,
     conj3_stats,
     conj4_check,
@@ -99,12 +106,13 @@ def test_encode_entries_in_range():
 
 def test_random_unique_system():
     rng = SplitMix64(1)
-    assert random_unique_system(1, rng).equations == (Unit(1),)
+    assert random_unique_system(1, rng) == (System(1, [Unit(1)]), qvec([1]))
     for _ in range(20):
-        s = random_unique_system(5, rng)
+        s, x = random_unique_system(5, rng)
         enc = encode(s)
         assert rank(enc.a) == 5
         assert s.equations[0] == Unit(1)
+        assert x == solve_cramer(enc.a, enc.b)
     # determinism
     a = random_unique_system(5, SplitMix64(42))
     b = random_unique_system(5, SplitMix64(42))
@@ -121,7 +129,7 @@ def test_random_unique_system_keeps_exactly_rank_raising_rows():
                 eq = Add(rng.randint(1, n), rng.randint(1, n), rng.randint(1, n))
                 if rank(encode(System(n, kept + [eq])).a) > len(kept):
                     kept.append(eq)
-            assert random_unique_system(n, SplitMix64(seed)).equations == tuple(kept)
+            assert random_unique_system(n, SplitMix64(seed))[0].equations == tuple(kept)
 
 
 def test_random_card_le_n_system_rhs_rule():
@@ -199,7 +207,7 @@ def test_exhaustive_solutions_match_rational_solver():
     for n in (3, 4):
         for eqs, sol in exhaustive_unique_systems(n):
             enc = encode(System(n, eqs))
-            assert sol == solve_unique(enc.a, enc.b)
+            assert sol == solve_cramer(enc.a, enc.b)
 
 
 def test_exhaustive_matches_bruteforce_on_n3():
@@ -277,14 +285,10 @@ def test_conj2_rows_counts():
 
 
 def test_conj2_check_examples():
-    best, ok = conj2_check([(2, -1, 0), (0, 2, -1)])
-    assert best == 4 and ok
-    best, ok = conj2_check([(2, -1, 0, 0), (0, 2, -1, 0), (0, 0, 2, -1)])
-    assert best == 8 and ok
-    best, ok = conj2_check([(1, 0, 0), (1, 0, 0)])
-    assert best == 0 and ok
-    with pytest.raises(Exception):
-        conj2_check([(1, 0, 0)])
+    # the doubling stacks attain 2^(n-1); a repeated row forces every minor to 0
+    assert _max_abs_maximal_minor_int([(2, -1, 0), (0, 2, -1)]) == 4
+    assert _max_abs_maximal_minor_int([(2, -1, 0, 0), (0, 2, -1, 0), (0, 0, 2, -1)]) == 8
+    assert _max_abs_maximal_minor_int([(1, 0, 0), (1, 0, 0)]) == 0
 
 
 def test_observation1_examples():
@@ -310,12 +314,8 @@ def test_observation1_preconditions():
 
 def test_generated_solutions_pass_proven_bound():
     rng = SplitMix64(2718)
-    from eqbounds.linalg import solve_unique
-
     for _ in range(50):
-        s = random_unique_system(4, rng)
-        enc = encode(s)
-        x = solve_unique(enc.a, enc.b)
+        _, x = random_unique_system(4, rng)
         assert check_bound_sqrt5(x, 4).passed
 
 

@@ -1,10 +1,14 @@
-"""Every module-level function and class of the package has a use.
+"""Every module-level function and class of the package, and every
+method and property of those classes, has a use.
 
-A definition counts as used when its name is read somewhere in
-`src/eqbounds` outside the definition itself, as a plain name or as an
-attribute, or when `eqbounds.__all__` exports it.  Imports alone do not
-count, so a name that only tests import, or that a module imports but
-never calls, is reported.
+A module-level definition counts as used when its name is read somewhere
+in `src/eqbounds` outside the definition itself, as a plain name or as an
+attribute, or when `eqbounds.__all__` exports it.  A non-dunder method or
+property counts as used when its name is read as an attribute outside its
+own body.  Imports alone do not count, so a name that only tests import
+or call, or that a module imports but never calls, is reported.  Names
+are matched without types, so a method shares its uses with any
+attribute of the same name.
 """
 
 import ast
@@ -26,18 +30,31 @@ def _names_read(node: ast.AST) -> Counter:
     return names
 
 
+def _attributes_read(node: ast.AST) -> Counter:
+    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+
+
 def unused_definitions(sources: dict[str, str], exported) -> list[str]:
     """`module: name` for each top-level def or class of `sources` (module
-    name -> source text) that no other code reads and `exported` lacks."""
+    name -> source text) that no other code reads and `exported` lacks,
+    and `module: Class.method` for each unread non-dunder method."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = sum((_names_read(tree) for tree in trees.values()), Counter())
+    attributes = sum((_attributes_read(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name in exported:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            if read[node.name] - _names_read(node)[node.name] <= 0:
+            if node.name not in exported and read[node.name] - _names_read(node)[node.name] <= 0:
                 unused.append(f"{module}: {node.name}")
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for item in node.body:
+                if not isinstance(item, ast.FunctionDef) or item.name.startswith("__"):
+                    continue
+                if attributes[item.name] - _attributes_read(item)[item.name] <= 0:
+                    unused.append(f"{module}: {node.name}.{item.name}")
     return unused
 
 
@@ -51,6 +68,18 @@ def test_guard_reports_unread_definitions():
     assert unused_definitions(sources, exported={"caller"}) == [
         "a: recursive", "b: only_imported",
     ]
+
+
+def test_guard_reports_unread_methods():
+    source = (
+        "class Shape:\n"
+        "    def __init__(self):\n        self.size = 1\n"
+        "    def area(self):\n        return self.size\n"
+        "    @property\n    def width(self):\n        return self.area()\n"
+        "    def unread(self):\n        return self.unread()\n"
+        "\ndef caller():\n    return Shape().width\n"
+    )
+    assert unused_definitions({"m": source}, exported={"caller"}) == ["m: Shape.unread"]
 
 
 def test_every_definition_is_used_or_exported():

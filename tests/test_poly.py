@@ -53,7 +53,7 @@ def test_polynomial_arithmetic_and_text():
     assert p == x * x - y * y
     assert (x * x).to_text() == "1*x1^2"
     assert Polynomial.zero(2, o).to_text() == "0"
-    q = x.scale(3) + const(F(1, 2), 2, o)
+    q = const(3, 2, o) * x + const(F(1, 2), 2, o)
     assert q.to_text() == "3*x1 + 1/2"
 
 

@@ -77,8 +77,9 @@ def test_full_pool_n2_units_fixed():
         x2 * x2 - one,     # x2^2 - 1
         x2 * x2 - x2,      # x2^2 - x2
     }
-    assert set(pool.polynomials()) == expected
-    assert len(pool.polynomials()) == len(set(pool.polynomials()))
+    polys = [c.poly for c in pool.candidates]
+    assert set(polys) == expected
+    assert len(polys) == len(set(polys))
 
 
 def test_full_pool_n1_full_en():
@@ -86,7 +87,7 @@ def test_full_pool_n1_full_en():
     order = MonomialOrder.grevlex(1)
     x1 = Polynomial.variable(0, 1, order)
     one = Polynomial.constant(1, 1, order)
-    assert set(pool.polynomials()) == {x1 - one, x1, x1 * x1 - x1}
+    assert {c.poly for c in pool.candidates} == {x1 - one, x1, x1 * x1 - x1}
 
 
 def test_full_pool_no_units_has_no_units():
@@ -98,7 +99,7 @@ def test_full_pool_no_units_has_no_units():
 def test_pools_duplicate_free():
     for variant in ("with_units_fixed_x1", "no_units_all_vars", "full_En"):
         for n in (2, 3, 4):
-            polys = full_pool(n, variant).polynomials()
+            polys = [c.poly for c in full_pool(n, variant).candidates]
             assert len(polys) == len(set(polys))
 
 
