@@ -129,7 +129,7 @@ def _solve_linear(s: System) -> tuple[dict, list[str]]:
             solution=[rational_to_text(v) for v in x],
             max_abs_coordinate=rational_to_text(max((abs(v) for v in x), default=Fraction(0))),
             pow2_bound=rational_to_text(Fraction(2) ** (s.n - 1)),
-            pow2_pass=check_bound_pow2(x, s.n).passed,
+            pow2_pass=check_bound_pow2(x, s.n),
             max_abs_numerator=num,
             max_denominator=den,
             max_clamped_ratio=rational_to_text(ratio),

@@ -211,12 +211,12 @@ def run_conjI(
 
     def trial(t: int, rng: SplitMix64):
         s, x = random_unique_system(n, rng)
-        if not check_bound_sqrt5(x, n).passed:
+        if not check_bound_sqrt5(x, n):
             raise AssertionError(
                 f"proven root-5 bound violated at trial {t}: solver bug"
             )
         stat = max(abs(v) for v in x)
-        if check_bound_pow2(x, n).passed:
+        if check_bound_pow2(x, n):
             return stat, ()
         return stat, (lin_witness_text(s, x, f"bound violation at trial {t}"),)
 
@@ -251,7 +251,7 @@ def run_conj1(
             raise AssertionError(f"pseudoinverse identities failed at trial {t}")
         x0 = pinv @ enc.b
         stat = max(abs(v) for v in x0)
-        if check_bound_pow2(x0, n).passed:
+        if check_bound_pow2(x0, n):
             return stat, ()
         s = System(n, enc.provenance)
         return stat, (lin_witness_text(s, x0, f"bound violation at trial {t}"),)

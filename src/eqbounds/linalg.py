@@ -1,17 +1,20 @@
-"""Exact rational linear algebra.
+"""Exact rational linear algebra, with no floating point anywhere.
 
-Everything in this module works over `fractions.Fraction`; there is no
-floating point anywhere.  Matrices are immutable, dense, row-major.
-Vectors are plain tuples of Fractions.
+A `QMatrix` is immutable, dense and row-major: integer numerators over
+one positive denominator, divided by their gcd, so equal matrices have
+equal storage.  A `Fraction` is made only when a caller reads a row, an
+entry or a matrix-vector product; vectors are tuples of Fractions.
+Elimination is fraction-free (Bareiss 1968): one Gauss-Jordan kernel
+serves `rref`, `inverse` and the conj2 maximal minors.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 QVector = tuple[Fraction, ...]
 Scalar = Union[int, Fraction]
 
@@ -45,13 +48,19 @@ def rational_to_text(q: Fraction) -> str:
     return str(q)
 
 
-class QMatrix:
-    """Immutable dense matrix of Fractions (rows >= 0, cols >= 1)."""
+def _over_common_denominator(v: QVector) -> tuple[list[int], int]:
+    """Integer numerators of v over the lcm of its denominators, and that lcm."""
+    den = lcm(*(x.denominator for x in v))
+    return [x.numerator * (den // x.denominator) for x in v], den
 
-    __slots__ = ("rows", "cols", "_e")
+
+class QMatrix:
+    """Immutable dense rational matrix (rows >= 0, cols >= 1)."""
+
+    __slots__ = ("rows", "cols", "_num", "_den")
 
     def __init__(self, entries: Iterable[Iterable[Scalar]], cols: int | None = None):
-        grid = tuple(tuple(Fraction(x) for x in row) for row in entries)
+        grid = tuple(qvec(row) for row in entries)
         if grid:
             width = len(grid[0])
             if any(len(row) != width for row in grid):
@@ -64,86 +73,114 @@ class QMatrix:
             width = cols
         if width < 1:
             raise DimensionMismatchError("column count must be >= 1")
+        den = lcm(*(x.denominator for row in grid for x in row))
         self.rows = len(grid)
         self.cols = width
-        self._e = grid
+        self._num = tuple(tuple(x.numerator * (den // x.denominator) for x in row) for row in grid)
+        self._den = den
+
+    @classmethod
+    def _of(cls, num: Iterable[Iterable[int]], den: int, cols: int) -> "QMatrix":
+        """The matrix num / den (den != 0), normalised; no validation."""
+        num = tuple(map(tuple, num))
+        g = gcd(den, *(x for row in num for x in row)) * (1 if den > 0 else -1)
+        if g != 1:
+            num = tuple(tuple(x // g for x in row) for row in num)
+        m = object.__new__(cls)
+        m.rows, m.cols, m._num, m._den = len(num), cols, num, den // g
+        return m
 
     @classmethod
     def zeros(cls, rows: int, cols: int) -> "QMatrix":
-        return cls([[0] * cols for _ in range(rows)], cols=cols)
+        return cls._of([[0] * cols] * rows, 1, cols)
 
     def row(self, i: int) -> QVector:
-        return self._e[i]
+        return tuple(Fraction(x, self._den) for x in self._num[i])
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self._e[i][j]
-
-    def row_list(self) -> list[list[Fraction]]:
-        return [list(r) for r in self._e]
+        return Fraction(self._num[i][j], self._den)
 
     def __matmul__(self, other: Union["QMatrix", Sequence[Scalar]]) -> Union["QMatrix", QVector]:
         if isinstance(other, QMatrix):
             if self.cols != other.rows:
                 raise DimensionMismatchError(f"{self.shape} @ {other.shape}")
-            cols = other.cols
-            out = []
-            for r in self._e:
-                out.append(
-                    [sum((r[k] * other._e[k][j] for k in range(self.cols)), Fraction(0)) for j in range(cols)]
-                )
-            return QMatrix(out, cols=cols)
-        v = tuple(Fraction(x) for x in other)
+            columns = tuple(zip(*other._num))
+            out = [[sum(map(mul, r, c)) for c in columns] for r in self._num]
+            return QMatrix._of(out, self._den * other._den, other.cols)
+        v = qvec(other)
         if self.cols != len(v):
             raise DimensionMismatchError(f"{self.shape} @ vector of length {len(v)}")
-        return tuple(sum((r[k] * v[k] for k in range(self.cols)), Fraction(0)) for r in self._e)
+        w, vden = _over_common_denominator(v)
+        den = self._den * vden
+        return tuple(Fraction(sum(map(mul, r, w)), den) for r in self._num)
 
     def augment(self, b: Sequence[Scalar]) -> "QMatrix":
         if len(b) != self.rows:
             raise DimensionMismatchError("right-hand side length mismatch")
-        return QMatrix([list(r) + [Fraction(x)] for r, x in zip(self._e, b)], cols=self.cols + 1)
+        w, vden = _over_common_denominator(qvec(b))
+        den = lcm(self._den, vden)
+        s, t = den // self._den, den // vden
+        rows = [[s * x for x in r] + [t * y] for r, y in zip(self._num, w)]
+        return QMatrix._of(rows, den, self.cols + 1)
 
     @property
     def shape(self) -> tuple[int, int]:
         return (self.rows, self.cols)
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, QMatrix) and self.shape == other.shape and self._e == other._e
+        return (isinstance(other, QMatrix) and self.cols == other.cols
+                and self._den == other._den and self._num == other._num)
 
     def __hash__(self) -> int:
-        return hash((self.shape, self._e))
+        return hash((self.cols, self._den, self._num))
 
     def __repr__(self) -> str:
-        return f"QMatrix({[[str(x) for x in r] for r in self._e]})"
+        return f"QMatrix({[[str(x) for x in self.row(i)] for i in range(self.rows)]})"
 
 
 def transpose(m: QMatrix) -> QMatrix:
     if m.rows == 0:
         raise DimensionMismatchError("cannot transpose a matrix with no rows")
-    return QMatrix([[m.entry(i, j) for i in range(m.rows)] for j in range(m.cols)], cols=m.rows)
+    return QMatrix._of(zip(*m._num), m._den, m.rows)
+
+
+def _gauss_jordan(a: list[Sequence[int]]) -> tuple[list[int], int]:
+    """Fraction-free Gauss-Jordan: Bareiss steps applied to the rows above
+    the pivot as well, every division exact.  `a` is reordered and its rows
+    replaced, never written to.  Returns the pivot columns and the last
+    pivot d; every pivot entry ends at d, so rref = rows / d."""
+    rows = len(a)
+    prev = 1
+    pivots: list[int] = []
+    for c in range(len(a[0]) if a else 0):
+        r = len(pivots)
+        if r == rows:
+            break
+        for i in range(r, rows):
+            if a[i][c]:
+                break
+        else:
+            continue
+        a[r], a[i] = a[i], a[r]
+        prow = a[r]
+        p = prow[c]
+        for i in range(rows):
+            if i != r:
+                f = a[i][c]
+                if f:
+                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
+                elif p != prev:
+                    a[i] = [p * x // prev for x in a[i]]
+        prev = p
+        pivots.append(c)
+    return pivots, prev
 
 
 def rref(m: QMatrix) -> tuple[QMatrix, tuple[int, ...]]:
     """Reduced row-echelon form and the (0-based, increasing) pivot columns."""
-    a = m.row_list()
-    rows, cols = m.rows, m.cols
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        if r == rows:
-            break
-        pivot_row = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot_row is None:
-            continue
-        a[r], a[pivot_row] = a[pivot_row], a[r]
-        inv = Fraction(1) / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    return QMatrix(a, cols=cols), tuple(pivots)
+    a = list(m._num)
+    pivots, d = _gauss_jordan(a)
+    return QMatrix._of(a, d, m.cols), tuple(pivots)
 
 
 def rank(m: QMatrix) -> int:
@@ -175,94 +212,34 @@ def _det_bareiss_int(a: list[list[int]]) -> int:
 
 def _max_abs_maximal_minor_int(a: list[Sequence[int]]) -> int:
     """Largest |det| over the minors of an r x (r+1) integer matrix that
-    delete one column.  The list `a` is reordered and its rows replaced;
-    the row objects themselves are never written to.
-
-    One fraction-free Gauss-Jordan elimination (Bareiss steps applied to
-    the rows above the pivot as well, every division exact) ends with
-    each pivot-column entry equal to the last pivot d and the one free
-    column holding f.  Up to sign, d is the minor that deletes the free
-    column and f_i the minor that deletes the i-th pivot column
-    (Cramer), so together they are the kernel vector of the matrix.  A
-    second column without a pivot means rank < r: every minor is 0.
-    """
-    rows = len(a)
-    prev = 1
-    free = rows  # the last column when every earlier column gets a pivot
-    r = 0
-    for c in range(rows + 1):
-        if r == rows:
-            break
-        for i in range(r, rows):
-            if a[i][c]:
-                break
-        else:
-            if free != rows:
-                return 0
-            free = c
-            continue
-        a[r], a[i] = a[i], a[r]
-        prow = a[r]
-        p = prow[c]
-        for i in range(rows):
-            if i != r:
-                f = a[i][c]
-                if f:
-                    a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], prow)]
-                elif p != prev:
-                    a[i] = [p * x // prev for x in a[i]]
-        prev = p
-        r += 1
-    return max(abs(prev), *(abs(row[free]) for row in a))
-
-
-def _integer_rows(rows: Iterable[Sequence[Scalar]]) -> tuple[list[list[int]], int]:
-    """Rows scaled to integers by the lcm of their denominators, and the
-    product of those factors."""
-    scale = 1
-    grid: list[list[int]] = []
-    for row in rows:
-        row = [Fraction(x) for x in row]
-        mult = lcm(*(x.denominator for x in row))
-        scale *= mult
-        grid.append([int(x * mult) for x in row])
-    return grid, scale
+    delete one column; `a` is reduced by `_gauss_jordan`.  Up to sign, d
+    is the minor that deletes the free column and the free column's i-th
+    entry the one that deletes the i-th pivot column (Cramer).  Fewer
+    than r pivots mean rank < r: every minor is 0."""
+    pivots, d = _gauss_jordan(a)
+    if len(pivots) < len(a):
+        return 0
+    free = next((c for c, p in enumerate(pivots) if c != p), len(pivots))
+    return max(abs(d), *(abs(row[free]) for row in a))
 
 
 def det_bareiss(m: QMatrix) -> Fraction:
-    """Exact determinant.
-
-    Integer matrices go through fraction-free (Bareiss) elimination.  A
-    matrix with non-integer entries is cleared to integers by scaling
-    each row with the lcm of its denominators, and the determinant is
-    rescaled by the product of those factors afterwards.
-    """
+    """Exact determinant: Bareiss on the numerators, over den^n."""
     if m.rows != m.cols:
         raise NonSquareError(f"determinant of {m.shape} matrix")
-    if m.rows == 0:
-        return Fraction(1)
-    grid, scale = _integer_rows(m.row(i) for i in range(m.rows))
-    return Fraction(_det_bareiss_int(grid), scale)
+    return Fraction(_det_bareiss_int([list(r) for r in m._num]), m._den ** m.rows)
 
 
 def inverse(a: QMatrix) -> QMatrix:
-    """Exact inverse by Gauss-Jordan; raises SingularMatrixError."""
+    """Exact inverse, the right half of rref([num | den*I]); raises SingularMatrixError."""
     if a.rows != a.cols:
         raise NonSquareError(f"inverse of {a.shape} matrix")
     n = a.rows
-    aug = [list(a.row(i)) + [Fraction(1) if j == i else Fraction(0) for j in range(n)] for i in range(n)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[c], aug[pivot_row] = aug[pivot_row], aug[c]
-        inv = Fraction(1) / aug[c][c]
-        aug[c] = [x * inv for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return QMatrix([row[n:] for row in aug], cols=n)
+    aug = [[*row, *(a._den if j == i else 0 for j in range(n))] for i, row in enumerate(a._num)]
+    pivots, d = _gauss_jordan(aug)
+    if pivots[n - 1] != n - 1:
+        raise SingularMatrixError("matrix is singular")
+    return QMatrix._of([row[n:] for row in aug], d, n)
 
 
 def solve_cramer(a: QMatrix, b: Sequence[Scalar]) -> QVector:
@@ -290,19 +267,16 @@ def rank_factorization(a: QMatrix) -> tuple[QMatrix, QMatrix]:
     r = len(pivots)
     if r == 0:
         raise ZeroMatrixError("rank 0 matrix has no rank factorization")
-    f = QMatrix([[a.entry(i, c) for c in pivots] for i in range(a.rows)], cols=r)
-    g = QMatrix([reduced.row(i) for i in range(r)], cols=a.cols)
+    f = QMatrix._of([[row[c] for c in pivots] for row in a._num], a._den, r)
+    g = QMatrix._of(reduced._num[:r], reduced._den, a.cols)
     return f, g
 
 
 def pseudoinverse(a: QMatrix) -> QMatrix:
-    """Exact Moore-Penrose pseudoinverse.
-
-    Computed from a rank factorization a = f*g as
-    g^T (g g^T)^-1 (f^T f)^-1 f^T; the two small inverses exist because f
-    has full column rank and g full row rank.  The zero matrix maps to
-    the zero matrix of transposed shape.
-    """
+    """Exact Moore-Penrose pseudoinverse g^T ((f^T f)(g g^T))^-1 f^T from a
+    rank factorization a = f*g; both factors are invertible because f has
+    full column rank and g full row rank.  The zero matrix maps to the
+    zero matrix of transposed shape."""
     if a.rows == 0:
         raise DimensionMismatchError("pseudoinverse of a 0-row matrix is not representable")
     try:
@@ -310,8 +284,7 @@ def pseudoinverse(a: QMatrix) -> QMatrix:
     except ZeroMatrixError:
         return QMatrix.zeros(a.cols, a.rows)
     ft, gt = transpose(f), transpose(g)
-    middle = inverse(g @ gt) @ inverse(ft @ f)
-    return (gt @ middle) @ ft
+    return (gt @ inverse((ft @ f) @ (g @ gt))) @ ft
 
 
 def min_norm_solution(a: QMatrix, b: Sequence[Scalar]) -> QVector:
@@ -327,7 +300,5 @@ def min_norm_solution(a: QMatrix, b: Sequence[Scalar]) -> QVector:
 
 
 def is_consistent(a: QMatrix, b: Sequence[Scalar]) -> bool:
-    """True iff rank(a) = rank([a|b]); an empty row set is vacuously consistent."""
-    if a.rows == 0:
-        return True
-    return rank(a) == rank(a.augment(b))
+    """True iff rref([a|b]) has no pivot in its last column."""
+    return a.cols not in rref(a.augment(b))[1]

@@ -401,28 +401,16 @@ def exhaustive_unique_systems(
 # ---------------------------------------------------------------------------
 # checkers
 
-@dataclass(frozen=True)
-class BoundVerdict:
-    passed: bool
-    witness_index: int | None = None  # 1-based index of the first violation
-
-
-def check_bound_pow2(x: Sequence[Fraction], n: int) -> BoundVerdict:
+def check_bound_pow2(x: Sequence[Fraction], n: int) -> bool:
     """Pass iff |x_i| <= 2^(n-1) for every entry, compared exactly."""
     bound = Fraction(2) ** (n - 1)
-    for pos, value in enumerate(x, start=1):
-        if abs(value) > bound:
-            return BoundVerdict(False, pos)
-    return BoundVerdict(True)
+    return all(abs(value) <= bound for value in x)
 
 
-def check_bound_sqrt5(x: Sequence[Fraction], n: int) -> BoundVerdict:
+def check_bound_sqrt5(x: Sequence[Fraction], n: int) -> bool:
     """Pass iff x_i^2 <= 5^(n-1); squaring keeps the comparison rational."""
     bound = Fraction(5) ** (n - 1)
-    for pos, value in enumerate(x, start=1):
-        if value * value > bound:
-            return BoundVerdict(False, pos)
-    return BoundVerdict(True)
+    return all(value * value <= bound for value in x)
 
 
 def conj3_stats(x: Sequence[Fraction]) -> tuple[int, int]:

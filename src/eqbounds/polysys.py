@@ -103,7 +103,6 @@ class PoolCandidate:
 class CandidatePool:
     n: int
     fix_x1: bool
-    variant: str
     candidates: tuple[PoolCandidate, ...]
 
 
@@ -141,7 +140,7 @@ def full_pool(n: int, variant: str) -> CandidatePool:
             for k in range(1, n + 1):
                 push(Add(i, j, k))
                 push(Mul(i, j, k))
-    return CandidatePool(n, fix, variant, tuple(out))
+    return CandidatePool(n, fix, tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +154,6 @@ class TrialOutcome:
     max_abs_coordinate: float
     min_norm_indices: tuple[int, ...]
     errors: tuple[str, ...]
-    append_trace: tuple[int, ...]  # pool indices in append order
 
 
 def minimal_norm_indices(solutions: Sequence[ComplexVector]) -> tuple[int, ...]:
@@ -182,7 +180,7 @@ def greedy_saturate(pool: CandidatePool, rng: SplitMix64) -> TrialOutcome:
     indices = list(range(len(pool.candidates)))
     rng.shuffle(indices)
 
-    appended: list[int] = []
+    appended: list[Equation] = []
     polys: list[Polynomial] = []
     basis: GroebnerBasis | None = None
     classification = (
@@ -192,7 +190,7 @@ def greedy_saturate(pool: CandidatePool, rng: SplitMix64) -> TrialOutcome:
         for idx in indices:
             cand = pool.candidates[idx]
             if cand.poly.is_zero:
-                appended.append(idx)
+                appended.append(cand.equation)
                 continue
             trial = buchberger(
                 [cand.poly], order, seed_basis=basis.generators if basis else None
@@ -202,14 +200,12 @@ def greedy_saturate(pool: CandidatePool, rng: SplitMix64) -> TrialOutcome:
                 continue
             basis = trial
             polys.append(cand.poly)
-            appended.append(idx)
+            appended.append(cand.equation)
             classification = verdict
             if classification is Classification.ZERO_DIMENSIONAL:
                 break
 
-    system = System(
-        pool.n, [pool.candidates[i].equation for i in appended], fix_x1=pool.fix_x1
-    )
+    system = System(pool.n, appended, fix_x1=pool.fix_x1)
     errors: list[str] = []
     solutions: tuple[ComplexVector, ...] = ()
     if classification is Classification.ZERO_DIMENSIONAL:
@@ -233,7 +229,6 @@ def greedy_saturate(pool: CandidatePool, rng: SplitMix64) -> TrialOutcome:
         max_abs_coordinate=max_abs,
         min_norm_indices=minimal_norm_indices(solutions),
         errors=tuple(errors),
-        append_trace=tuple(appended),
     )
 
 

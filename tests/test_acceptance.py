@@ -103,8 +103,7 @@ def test_criterion_2_doubling_chain_tightness():
     enc = encode(s)
     x = solve_cramer(enc.a, enc.b)
     expected = tuple(F(2) ** i for i in range(n))
-    verdict = check_bound_pow2(x, n)
-    ok = x == expected and verdict.passed and max(abs(v) for v in x) == F(2) ** (n - 1)
+    ok = x == expected and check_bound_pow2(x, n) and max(abs(v) for v in x) == F(2) ** (n - 1)
     record("2", ok, f"solution {tuple(int(v) for v in x)}, boundary 128 passes exactly")
 
 

@@ -27,7 +27,6 @@ from pathlib import Path
 import pytest
 
 from eqbounds import cli, drivers
-from eqbounds.linear import BoundVerdict
 from eqbounds.poly import Classification
 
 DATA = Path(__file__).with_name("golden_reports.json")
@@ -49,13 +48,14 @@ def _text(*args: str) -> list[str]:
 
 
 def _fail_pow2(_):
-    return lambda x, n: BoundVerdict(False, 1)
+    return lambda x, n: False
 
 
 def _odd_positive_dimensional(saturate):
     def patched(pool, rng):
         outcome = saturate(pool, rng)
-        if sum(outcome.append_trace) % 2:
+        index = {c.equation: i for i, c in enumerate(pool.candidates)}
+        if sum(index[eq] for eq in outcome.system.equations) % 2:
             return dataclasses.replace(
                 outcome, classification=Classification.POSITIVE_DIMENSIONAL
             )

@@ -317,3 +317,124 @@ def test_inverse_round_trip():
             continue
         assert m @ inverse(m) == identity(m.rows)
         checked += 1
+
+
+# ---------------------------------------------------------------------------
+# QMatrix against a Fraction-grid oracle
+
+def grid_of(m):
+    return [list(m.row(i)) for i in range(m.rows)]
+
+
+def oracle_matmul(a, b):
+    return [[sum((x * y for x, y in zip(r, c)), F(0)) for c in zip(*b)] for r in a]
+
+
+def oracle_transpose(a):
+    return [list(c) for c in zip(*a)]
+
+
+def oracle_rref(a, cols):
+    """Fraction Gauss-Jordan with pivots sought in the first `cols` columns."""
+    a = [list(r) for r in a]
+    pivots = []
+    for c in range(cols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        k = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if k is None:
+            continue
+        a[r], a[k] = a[k], a[r]
+        a[r] = [x / a[r][c] for x in a[r]]
+        for i in range(len(a)):
+            if i != r and a[i][c]:
+                f = a[i][c]
+                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+    return a, tuple(pivots)
+
+
+def oracle_inverse(a):
+    n = len(a)
+    aug = [r + [F(int(i == j)) for j in range(n)] for i, r in enumerate(a)]
+    reduced, pivots = oracle_rref(aug, n)
+    return [r[n:] for r in reduced] if pivots == tuple(range(n)) else None
+
+
+def oracle_pseudoinverse(a, cols):
+    """g^T (g g^T)^-1 (f^T f)^-1 f^T, with two separate inverses."""
+    reduced, pivots = oracle_rref(a, cols)
+    if not pivots:
+        return [[F(0)] * len(a) for _ in range(cols)]
+    f = [[r[c] for c in pivots] for r in a]
+    g = reduced[:len(pivots)]
+    ft, gt = oracle_transpose(f), oracle_transpose(g)
+    middle = oracle_matmul(oracle_inverse(oracle_matmul(g, gt)), oracle_inverse(oracle_matmul(ft, f)))
+    return oracle_matmul(oracle_matmul(gt, middle), ft)
+
+
+def random_rational_grid(rng, rows, cols):
+    def entry():
+        return F(rng.randint(-4, 4), rng.randint(1, 3)) if rng.randint(0, 2) else F(0)
+
+    grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    # a third of the matrices get a row that depends on two others
+    if rows >= 3 and rng.randint(0, 2) == 0:
+        s, t = entry(), entry()
+        grid[rng.randint(0, rows - 1)] = [s * x + t * y for x, y in zip(grid[0], grid[1])]
+    return grid
+
+
+def assert_matches(m, grid):
+    assert grid_of(m) == grid
+    rebuilt = QMatrix(grid, cols=m.cols)
+    assert m == rebuilt and hash(m) == hash(rebuilt)
+
+
+def test_qmatrix_matches_fraction_oracle():
+    rng = SplitMix64(20261018)
+    singular = deficient = 0
+    for _ in range(2000):
+        rows, cols = rng.randint(0, 5), rng.randint(1, 5)
+        grid = random_rational_grid(rng, rows, cols)
+        m = QMatrix(grid, cols=cols)
+        assert_matches(m, grid)
+        other = random_rational_grid(rng, cols, rng.randint(1, 4))
+        assert_matches(m @ QMatrix(other), oracle_matmul(grid, other))
+        v = [r[0] for r in other]
+        assert m @ v == tuple(sum((x * y for x, y in zip(r, v)), F(0)) for r in grid)
+        reduced, pivots = rref(m)
+        expected, expected_pivots = oracle_rref(grid, cols)
+        assert pivots == expected_pivots
+        assert_matches(reduced, expected)
+        deficient += len(pivots) < min(rows, cols)
+        if rows == 0:
+            continue
+        assert_matches(transpose(m), oracle_transpose(grid))
+        assert_matches(pseudoinverse(m), oracle_pseudoinverse(grid, cols))
+        if rows != cols:
+            continue
+        assert det_bareiss(m) == det_cofactor(grid)
+        expected = oracle_inverse(grid)
+        if expected is None:
+            singular += 1
+            with pytest.raises(SingularMatrixError):
+                inverse(m)
+        else:
+            assert_matches(inverse(m), expected)
+    assert singular > 0 and deficient > 0
+
+
+def test_equal_matrices_have_equal_storage():
+    a, b = QMatrix([[F(2, 4), 1]]), QMatrix([[F(1, 2), F(2, 2)]])
+    assert a == b and hash(a) == hash(b)
+    assert QMatrix([[F(1, 2)]]) @ QMatrix([[2]]) == QMatrix([[1]])
+    # the kernel ends on the pivot det = -3, a negative denominator
+    m = QMatrix([[2, 1], [1, -1]])
+    inv = inverse(m)
+    expected = QMatrix([[F(1, 3), F(1, 3)], [F(1, 3), F(-2, 3)]])
+    assert inv == expected and hash(inv) == hash(expected)
+    assert inv @ m == identity(2) and hash(inv @ m) == hash(identity(2))
+    assert rref(QMatrix([[-2, 1]]))[0] == QMatrix([[1, F(-1, 2)]])
+    assert inverse(QMatrix([[-1]])) == QMatrix([[-1]])

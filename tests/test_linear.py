@@ -15,7 +15,6 @@ from eqbounds.linalg import (
 )
 from eqbounds.linear import (
     Add,
-    BoundVerdict,
     CapExceededError,
     ExhaustiveScan,
     Mul,
@@ -247,15 +246,15 @@ def test_exhaustive_cap():
 
 
 def test_check_bound_pow2():
-    assert check_bound_pow2(qvec([1, 2, 4, 8, 16]), 5) == BoundVerdict(True)
-    assert check_bound_pow2(qvec([17, 0, 0, 0, 0]), 5) == BoundVerdict(False, 1)
-    assert check_bound_pow2(qvec([0, 0]), 2) == BoundVerdict(True)
+    assert check_bound_pow2(qvec([1, 2, 4, 8, 16]), 5) is True
+    assert check_bound_pow2(qvec([17, 0, 0, 0, 0]), 5) is False
+    assert check_bound_pow2(qvec([0, 0]), 2) is True
 
 
 def test_check_bound_sqrt5():
-    assert check_bound_sqrt5(qvec([1, 2]), 2).passed  # 4 <= 5
-    assert check_bound_sqrt5(qvec([1, 2, 4, 8, 16]), 5).passed  # 256 <= 625
-    assert check_bound_sqrt5(qvec([3]), 1) == BoundVerdict(False, 1)  # 9 > 1
+    assert check_bound_sqrt5(qvec([1, 2]), 2) is True  # 4 <= 5
+    assert check_bound_sqrt5(qvec([1, 2, 4, 8, 16]), 5) is True  # 256 <= 625
+    assert check_bound_sqrt5(qvec([3]), 1) is False  # 9 > 1
 
 
 def test_conj3_stats():
@@ -316,7 +315,7 @@ def test_generated_solutions_pass_proven_bound():
     rng = SplitMix64(2718)
     for _ in range(50):
         _, x = random_unique_system(4, rng)
-        assert check_bound_sqrt5(x, 4).passed
+        assert check_bound_sqrt5(x, 4)
 
 
 def test_min_norm_solves_consistent_linear_systems():

@@ -1,14 +1,16 @@
-"""Every module-level function and class of the package, and every
-method and property of those classes, has a use.
+"""Every module-level function, class and assigned name of the package,
+every method and property of those classes, and every field of its
+dataclasses has a use.
 
 A module-level definition counts as used when its name is read somewhere
 in `src/eqbounds` outside the definition itself, as a plain name or as an
 attribute, or when `eqbounds.__all__` exports it.  A non-dunder method or
 property counts as used when its name is read as an attribute outside its
-own body.  Imports alone do not count, so a name that only tests import
-or call, or that a module imports but never calls, is reported.  Names
-are matched without types, so a method shares its uses with any
-attribute of the same name.
+own body, and a dataclass field when its name is read as an attribute
+anywhere.  Imports and assignments alone do not count, so a name that
+only tests import or call, or that a module imports but never calls, is
+reported.  Names are matched without types, so a method or field shares
+its uses with any attribute of the same name.
 """
 
 import ast
@@ -23,38 +25,62 @@ PACKAGE = Path(eqbounds.__file__).parent
 def _names_read(node: ast.AST) -> Counter:
     names: Counter = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
             names[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        elif isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load):
             names[sub.attr] += 1
     return names
 
 
 def _attributes_read(node: ast.AST) -> Counter:
-    return Counter(sub.attr for sub in ast.walk(node) if isinstance(sub, ast.Attribute))
+    return Counter(sub.attr for sub in ast.walk(node)
+                   if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Load))
+
+
+def _defined_name(node: ast.stmt) -> str | None:
+    """The name a top-level def, class or single-name assignment defines."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return node.name
+    targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+    if len(targets) == 1 and isinstance(targets[0], ast.Name):
+        return targets[0].id
+    return None
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        if isinstance(decorator, ast.Call):
+            decorator = decorator.func
+        if getattr(decorator, "id", getattr(decorator, "attr", None)) == "dataclass":
+            return True
+    return False
 
 
 def unused_definitions(sources: dict[str, str], exported) -> list[str]:
-    """`module: name` for each top-level def or class of `sources` (module
-    name -> source text) that no other code reads and `exported` lacks,
-    and `module: Class.method` for each unread non-dunder method."""
+    """`module: name` for each top-level def, class or assigned name of
+    `sources` (module name -> source text) that no other code reads and
+    `exported` lacks, `module: Class.method` for each unread non-dunder
+    method and `module: Class.field` for each unread dataclass field."""
     trees = {module: ast.parse(text) for module, text in sources.items()}
     read = sum((_names_read(tree) for tree in trees.values()), Counter())
     attributes = sum((_attributes_read(tree) for tree in trees.values()), Counter())
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            name = _defined_name(node)
+            if name is None or name.startswith("__"):
                 continue
-            if node.name not in exported and read[node.name] - _names_read(node)[node.name] <= 0:
-                unused.append(f"{module}: {node.name}")
+            if name not in exported and read[name] - _names_read(node)[name] <= 0:
+                unused.append(f"{module}: {name}")
             if not isinstance(node, ast.ClassDef):
                 continue
             for item in node.body:
-                if not isinstance(item, ast.FunctionDef) or item.name.startswith("__"):
-                    continue
-                if attributes[item.name] - _attributes_read(item)[item.name] <= 0:
-                    unused.append(f"{module}: {node.name}.{item.name}")
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    if attributes[item.name] - _attributes_read(item)[item.name] <= 0:
+                        unused.append(f"{module}: {node.name}.{item.name}")
+                elif (isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                      and _is_dataclass(node) and attributes[item.target.id] == 0):
+                    unused.append(f"{module}: {node.name}.{item.target.id}")
     return unused
 
 
@@ -80,6 +106,20 @@ def test_guard_reports_unread_methods():
         "\ndef caller():\n    return Shape().width\n"
     )
     assert unused_definitions({"m": source}, exported={"caller"}) == ["m: Shape.unread"]
+
+
+def test_guard_reports_unread_dataclass_fields_and_aliases():
+    source = (
+        "from dataclasses import dataclass\n"
+        "Alias = int\nUsed = str\n"
+        "@dataclass(frozen=True)\nclass Point:\n"
+        "    x: Used\n    unread: int\n    written: int = 0\n"
+        "class Plain:\n    note: int\n"
+        "def caller(p):\n    p.written = Plain()\n    return p.x\n"
+    )
+    assert unused_definitions({"m": source}, exported={"caller", "Point"}) == [
+        "m: Alias", "m: Point.unread", "m: Point.written",
+    ]
 
 
 def test_every_definition_is_used_or_exported():

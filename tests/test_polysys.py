@@ -109,7 +109,7 @@ def test_greedy_saturate_single_unit():
     order = MonomialOrder.grevlex(1)
     one = Polynomial.constant(1, 1, order)
     x1 = Polynomial.variable(0, 1, order)
-    pool = CandidatePool(1, False, "full_En", (PoolCandidate(Unit(1), x1 - one),))
+    pool = CandidatePool(1, False, (PoolCandidate(Unit(1), x1 - one),))
     outcome = greedy_saturate(pool, SplitMix64(3))
     assert outcome.classification is Classification.ZERO_DIMENSIONAL
     assert len(outcome.solutions) == 1
@@ -128,7 +128,7 @@ def test_greedy_saturate_extremal_chain():
     cands = tuple(
         PoolCandidate(eq, equation_polynomial(eq, n, False, order)) for eq in eqs
     )
-    pool = CandidatePool(n, False, "no_units_all_vars", cands)
+    pool = CandidatePool(n, False, cands)
     outcome = greedy_saturate(pool, SplitMix64(123))
     assert outcome.classification is Classification.ZERO_DIMENSIONAL
     assert len(outcome.solutions) == 2
@@ -152,7 +152,7 @@ def test_greedy_saturate_deterministic():
     b = greedy_saturate(pool, SplitMix64(99))
     assert a == b
     c = greedy_saturate(pool, SplitMix64(100))
-    assert isinstance(c.append_trace, tuple)
+    assert isinstance(c.system.equations, tuple)
 
 
 def test_greedy_saturate_residuals_and_trace():
@@ -162,8 +162,8 @@ def test_greedy_saturate_residuals_and_trace():
         assert outcome.classification is not Classification.INCONSISTENT
         for sol in outcome.solutions:
             assert sol.residual < 1e-8
-        # the trace replays to a consistent system
-        assert len(outcome.append_trace) == len(set(outcome.append_trace))
+        # the system's equations, in append order, are distinct
+        assert len(outcome.system.equations) == len(set(outcome.system.equations))
 
 
 def test_double_exp_bound():
@@ -251,12 +251,13 @@ def test_greedy_trace_replays_consistently():
     from eqbounds.poly import buchberger, classify_dimension, MonomialOrder
 
     pool = full_pool(3, "with_units_fixed_x1")
+    poly_of = {c.equation: c.poly for c in pool.candidates}
     for seed in range(4):
         outcome = greedy_saturate(pool, SplitMix64(seed))
         order = MonomialOrder.grevlex(pool.n - 1)
         prefix = []
-        for idx in outcome.append_trace:
-            prefix.append(pool.candidates[idx].poly)
+        for eq in outcome.system.equations:
+            prefix.append(poly_of[eq])
             live = [p for p in prefix if not p.is_zero]
             if live:
                 basis = buchberger(live, order)
